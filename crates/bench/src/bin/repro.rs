@@ -307,7 +307,21 @@ fn usage() -> String {
     )
 }
 
-/// `repro list`: print the registry, one experiment per line.
+/// Subcommands outside the experiment registry, as `repro list` prints
+/// them: `(name, description)`.
+const MODES: [(&str, &str); 5] = [
+    ("list", "print this table"),
+    ("all", "run every experiment marked ●"),
+    ("work", "campaign worker process: repro work --endpoint E"),
+    ("watch", "live campaign dashboard: repro watch --endpoint E"),
+    (
+        "promcheck",
+        "validate saved expositions: repro promcheck FILE...",
+    ),
+];
+
+/// `repro list`: print the registry, one experiment per line, then the
+/// other subcommands.
 fn print_registry() {
     println!("experiments ('all' runs every row marked ●):");
     for e in REGISTRY {
@@ -319,6 +333,10 @@ fn print_registry() {
                 e.extra_artifacts.join(", ")
             );
         }
+    }
+    println!("\nother commands:");
+    for (name, description) in MODES {
+        println!("    {name:<8} {description}");
     }
 }
 

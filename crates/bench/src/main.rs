@@ -4,11 +4,13 @@
 //! Benchmarks:
 //!
 //! * `corrupt_word/*` — per-word read-back corruption: the seed-era linear
-//!   scan vs the row-indexed path vs a prebuilt [`FaultMask`]; the
-//!   `bulk_word_corruption_speedup` ratio compares the linear baseline to
-//!   the bulk pipeline (resolve the condition once, then the row-indexed
-//!   scan) — the path every bulk consumer actually takes.
+//!   scan (a reference read private to this binary) vs a prebuilt
+//!   [`FaultMask`]; `mask_vs_linear_speedup` is their ratio.
 //! * `mask_build` — cost of snapshotting a whole die into masks.
+//! * `ladder_mask_build/*`, `sweep_level_counts/*` — the mask-build and
+//!   counting phases of a full Listing-1 sweep: per-condition rebuilds vs
+//!   the incremental [`LadderKernel`], per-run scans vs batched level
+//!   counts.
 //! * `platform_scan/*` — one full-pool probe scan, sequential vs fanned
 //!   over all cores.
 //! * `campaign/*` — the 4-board Table-I campaign, sequential vs the
@@ -41,7 +43,7 @@ use uvf_characterize::platform_level_counts;
 use uvf_characterize::prelude::{
     available_threads, Campaign, CampaignJob, FvmCache, Json, Probe, RecoveryPolicy, SweepConfig,
 };
-use uvf_faults::{run_seed, FaultModel, LadderKernel, ReadCondition, ResolvedCondition};
+use uvf_faults::{run_seed, FaultModel, LadderKernel, ReadCondition, ResolvedCondition, WeakCell};
 use uvf_fpga::{Board, BramId, Millivolts, PlatformKind, Rail, BRAM_ROWS};
 use uvf_nn::{Mlp, QNetwork};
 use uvf_trace::{Manifest, MemorySink, Tracer};
@@ -122,6 +124,76 @@ fn vcrash_condition(model: &FaultModel) -> ReadCondition {
     }
 }
 
+/// Corrupt `stored` through `cells` (all in one row of `bram`): every
+/// observable cell failing under `resolved` flips its bit.
+fn corrupt_cells<'a>(
+    cells: impl IntoIterator<Item = &'a WeakCell>,
+    bram: BramId,
+    stored: u16,
+    resolved: &ResolvedCondition,
+) -> u16 {
+    let mut word = stored;
+    for cell in cells {
+        let mask = 1u16 << cell.bit;
+        let stored_bit = stored & mask != 0;
+        if cell.observable(stored_bit) && resolved.cell_fails(bram, cell) {
+            if cell.one_to_zero {
+                word &= !mask;
+            } else {
+                word |= mask;
+            }
+        }
+    }
+    word
+}
+
+/// The seed-era per-word read: resolve the condition on every call and
+/// walk *every* weak cell of the BRAM for the row's cells. The baseline
+/// the mask path is priced against; never a production path.
+fn corrupt_word_linear(
+    model: &FaultModel,
+    bram: BramId,
+    row: u16,
+    stored: u16,
+    cond: &ReadCondition,
+) -> u16 {
+    let resolved = model.resolve(cond);
+    let cells = model.weak_cells(bram).iter().filter(|c| c.row == row);
+    corrupt_cells(cells, bram, stored, &resolved)
+}
+
+/// One BRAM's weak cells regrouped by `(row, bit)` with per-row offsets,
+/// so a per-word read touches only the cells of its row. Built once,
+/// outside any timed region: it is the unprotected per-word read the
+/// SECDED path is priced against.
+struct RowIndexedBram {
+    bram: BramId,
+    cells: Vec<WeakCell>,
+    /// `cells[row_offsets[r]..row_offsets[r + 1]]` is row `r`.
+    row_offsets: Vec<usize>,
+}
+
+impl RowIndexedBram {
+    fn new(model: &FaultModel, bram: BramId) -> RowIndexedBram {
+        let mut cells = model.weak_cells(bram).to_vec();
+        cells.sort_by_key(|c| (c.row, c.bit));
+        let row_offsets = (0..=BRAM_ROWS)
+            .map(|r| cells.partition_point(|c| usize::from(c.row) < r))
+            .collect();
+        RowIndexedBram {
+            bram,
+            cells,
+            row_offsets,
+        }
+    }
+
+    fn corrupt(&self, row: u16, stored: u16, resolved: &ResolvedCondition) -> u16 {
+        let r = usize::from(row);
+        let cells = &self.cells[self.row_offsets[r]..self.row_offsets[r + 1]];
+        corrupt_cells(cells, self.bram, stored, resolved)
+    }
+}
+
 /// Per-word corruption kernels on the paper's largest die (VC707).
 fn bench_word_kernels(suite: &mut Suite, opts: &BenchOptions) {
     let model = FaultModel::new(PlatformKind::Vc707.descriptor());
@@ -138,36 +210,14 @@ fn bench_word_kernels(suite: &mut Suite, opts: &BenchOptions) {
         let mut acc = 0u64;
         for b in 0..brams {
             for row in 0..rows {
-                acc ^= u64::from(model.corrupt_word_linear(BramId(b), row, 0xFFFF, &cond));
+                acc ^= u64::from(corrupt_word_linear(&model, BramId(b), row, 0xFFFF, &cond));
             }
         }
         acc
     });
     print_measurement(suite.record(linear));
 
-    let indexed = bench("corrupt_word/row_indexed", ops, opts, || {
-        let mut acc = 0u64;
-        for b in 0..brams {
-            for row in 0..rows {
-                acc ^= u64::from(model.corrupt_word(BramId(b), row, 0xFFFF, &cond));
-            }
-        }
-        acc
-    });
-    print_measurement(suite.record(indexed));
-
     let resolved = model.resolve(&cond);
-    let indexed_resolved = bench("corrupt_word/row_indexed_resolved", ops, opts, || {
-        let mut acc = 0u64;
-        for b in 0..brams {
-            for row in 0..rows {
-                acc ^= u64::from(model.corrupt_word_resolved(BramId(b), row, 0xFFFF, &resolved));
-            }
-        }
-        acc
-    });
-    print_measurement(suite.record(indexed_resolved));
-
     let masks: Vec<_> = (0..brams)
         .map(|b| model.fault_mask(BramId(b), &resolved))
         .collect();
@@ -182,24 +232,17 @@ fn bench_word_kernels(suite: &mut Suite, opts: &BenchOptions) {
     });
     print_measurement(suite.record(masked));
 
-    // Per-BRAM iterator: the same masks in the same order, without
-    // materializing the whole-die Vec the old `fault_masks` allocated.
-    let build = bench(
-        "mask_build/full_die",
-        model.platform().bram_count as u64,
-        opts,
-        || model.fault_masks_iter(&resolved).count(),
-    );
+    let bram_count = model.platform().bram_count as u32;
+    let build = bench("mask_build/full_die", u64::from(bram_count), opts, || {
+        (0..bram_count)
+            .map(|b| u64::from(model.fault_mask(BramId(b), &resolved).flip_cells()))
+            .sum::<u64>()
+    });
     print_measurement(suite.record(build));
 
-    // Bulk corruption means many words under one condition, so the bulk
-    // ratio is linear vs resolve-once + row-indexed (measurement 2); the
-    // per-call `corrupt_word` (measurement 1) re-resolves every word and
-    // is reported but not the headline.
-    let linear_ns = suite.measurements[0].median_ns as f64;
-    let resolved_ns = suite.measurements[2].median_ns.max(1) as f64;
-    let masked_ns = suite.measurements[3].median_ns.max(1) as f64;
-    suite.derive("bulk_word_corruption_speedup", linear_ns / resolved_ns);
+    let n = suite.measurements.len();
+    let linear_ns = suite.measurements[n - 3].median_ns as f64;
+    let masked_ns = suite.measurements[n - 2].median_ns.max(1) as f64;
     suite.derive("mask_vs_linear_speedup", linear_ns / masked_ns);
 }
 
@@ -250,31 +293,13 @@ fn bench_ladder(suite: &mut Suite, opts: &BenchOptions) {
         cfg.runs_per_level
     );
 
-    // The seed-era per-level path: materialize the whole platform's masks
-    // from scratch for each (level, run) condition.
-    let per_level = bench(
-        "ladder_mask_build/per_level_rebuild",
-        probe_ops,
-        opts,
-        || {
-            let mut acc = 0u64;
-            for rc in &probe_conds {
-                for mask in model.fault_masks(rc.condition()) {
-                    acc += u64::from(mask.flip_cells());
-                }
-            }
-            acc
-        },
-    );
-    print_measurement(suite.record(per_level));
-
-    // The per-BRAM iterator: same per-condition rebuilds, nothing
-    // materialized platform-wide.
+    // The per-level path: rebuild every BRAM's mask from scratch for each
+    // (level, run) condition, one BRAM at a time.
     let per_iter = bench("ladder_mask_build/per_level_iter", probe_ops, opts, || {
         let mut acc = 0u64;
         for rc in &probe_conds {
-            for mask in model.fault_masks_iter(rc) {
-                acc += u64::from(mask.flip_cells());
+            for b in 0..brams {
+                acc += u64::from(model.fault_mask(BramId(b), rc).flip_cells());
             }
         }
         acc
@@ -296,17 +321,14 @@ fn bench_ladder(suite: &mut Suite, opts: &BenchOptions) {
     print_measurement(suite.record(kernel));
 
     let n = suite.measurements.len();
-    let rebuild = &suite.measurements[n - 3];
     let iter = &suite.measurements[n - 2];
     let kern = &suite.measurements[n - 1];
-    let rebuild_op = rebuild.median_ns as f64 / rebuild.ops_per_sample as f64;
     let iter_op = iter.median_ns as f64 / iter.ops_per_sample as f64;
     let kernel_op = (kern.median_ns as f64 / kern.ops_per_sample as f64).max(1e-9);
-    suite.derive("ladder_mask_build_speedup", rebuild_op / kernel_op);
     suite.derive("ladder_iter_vs_kernel_speedup", iter_op / kernel_op);
 
     // The sweep's counting phase over the same Listing-1 stream: per-run
-    // platform scans (the `ScanEngine::PerRun` oracle) vs each level's run
+    // platform scans (the `Probe::sample` oracle) vs each level's run
     // family batched through one `MaskPlan` scan. Per-run is stateless per
     // condition, so it too is priced on a strided subsample.
     let count_conds: Vec<&ResolvedCondition> = stream.iter().step_by(113).collect();
@@ -334,7 +356,7 @@ fn bench_ladder(suite: &mut Suite, opts: &BenchOptions) {
             families
                 .iter()
                 .map(|family| {
-                    platform_level_counts(&model, cfg.pattern, family, 1)
+                    platform_level_counts(&model, cfg.pattern, family)
                         .iter()
                         .sum::<u64>()
                 })
@@ -489,8 +511,9 @@ fn bench_nn_inference(suite: &mut Suite, opts: &BenchOptions) {
 }
 
 /// The SECDED read-back (mask build + corrupt + two-pass decode, exactly
-/// what `read_back_ecc` runs per BRAM) against the raw per-word
-/// `corrupt_word` read path it replaces, on the same VC707 die at Vcrash.
+/// what `read_back_ecc` runs per BRAM) against the raw row-indexed
+/// per-word read ([`RowIndexedBram`]) it replaces, on the same VC707 die
+/// at Vcrash.
 ///
 /// Samples are **paired** like [`bench_traced_overhead`]: each iteration
 /// times the raw read and the decode path back to back, and the reported
@@ -513,6 +536,9 @@ fn bench_ecc_decode(suite: &mut Suite, opts: &BenchOptions) {
         let word = ecc::encode((cw as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         eccmode::store_codeword(&mut clean, cw, word.data, word.parity);
     }
+    let indexed: Vec<RowIndexedBram> = (0..brams)
+        .map(|b| RowIndexedBram::new(&model, BramId(b)))
+        .collect();
     let raw_ops = u64::from(brams) * BRAM_ROWS as u64;
     let ecc_ops = u64::from(brams) * ECC_CODEWORDS_PER_BRAM as u64;
     let pairs = opts.samples.max(3) * 3;
@@ -520,11 +546,10 @@ fn bench_ecc_decode(suite: &mut Suite, opts: &BenchOptions) {
 
     let run_raw = |scratch: &mut [u16; BRAM_ROWS]| -> u64 {
         let mut acc = 0u64;
-        for b in 0..brams {
+        for bram in &indexed {
             for row in 0..rows {
                 let word = clean[usize::from(row)];
-                scratch[usize::from(row)] =
-                    model.corrupt_word_resolved(BramId(b), row, word, &resolved);
+                scratch[usize::from(row)] = bram.corrupt(row, word, &resolved);
             }
             acc ^= u64::from(scratch[BRAM_ROWS - 1]);
         }
@@ -931,4 +956,36 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The two reference reads this binary times agree with the
+    /// production [`uvf_faults::FaultMask`] on every word they touch.
+    #[test]
+    fn reference_reads_match_the_fault_mask() {
+        let model = FaultModel::new(PlatformKind::Zc702.descriptor());
+        let cond = vcrash_condition(&model);
+        let resolved = model.resolve(&cond);
+        let mut flipped = 0u32;
+        for b in (0..model.platform().bram_count as u32).step_by(23) {
+            let bram = BramId(b);
+            let mask = model.fault_mask(bram, &resolved);
+            let indexed = RowIndexedBram::new(&model, bram);
+            for row in (0..BRAM_ROWS as u16).step_by(7) {
+                for stored in [0xFFFFu16, 0x0000, 0xA5A5] {
+                    let expect = mask.apply(row, stored);
+                    assert_eq!(
+                        corrupt_word_linear(&model, bram, row, stored, &cond),
+                        expect
+                    );
+                    assert_eq!(indexed.corrupt(row, stored, &resolved), expect);
+                    flipped += u32::from(expect != stored);
+                }
+            }
+        }
+        assert!(flipped > 0, "no corrupted word sampled at Vcrash");
+    }
 }

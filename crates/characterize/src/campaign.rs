@@ -3,7 +3,8 @@
 //!
 //! The paper characterizes four independent boards (Table I); a campaign
 //! runs each board's sweep as one job. Jobs are pulled from a shared
-//! atomic cursor by a pool of scoped worker threads — dynamic scheduling,
+//! atomic cursor by the crate's scoped-thread pool (`parallel::fan_out`)
+//! — dynamic scheduling,
 //! because sweep costs differ wildly across platforms (the VC707's BRAM
 //! pool is 7× the ZC702's) — and results land in slots indexed by job
 //! position, so the merged output is **bit-identical** to running the same
@@ -15,14 +16,14 @@
 //! and still produces the sequential baseline's bytes.
 
 use crate::guardband::GuardbandReport;
-use crate::harness::{Harness, HarnessError, RecoveryPolicy, ScanEngine};
+use crate::harness::{Harness, HarnessError, RecoveryPolicy};
 use crate::json::Json;
+use crate::parallel::fan_out;
 use crate::record::{req_str, req_u64, schema, RecordError, SweepOutcome, SweepRecord};
 use crate::store::CheckpointStore;
 use crate::sweep::SweepConfig;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use uvf_fpga::{Board, PlatformKind};
 use uvf_trace::Tracer;
 
@@ -239,8 +240,6 @@ pub struct Campaign {
     jobs: Vec<CampaignJob>,
     policy: RecoveryPolicy,
     checkpoint_dir: Option<PathBuf>,
-    scan_threads: usize,
-    engine: ScanEngine,
     /// Passive observability shared by the pool and inherited by every
     /// job's harness. With multiple board threads the interleaving of
     /// *campaign-level* events follows the (nondeterministic) scheduler;
@@ -255,19 +254,8 @@ impl Campaign {
             jobs: Vec::new(),
             policy,
             checkpoint_dir: None,
-            scan_threads: 1,
-            engine: ScanEngine::default(),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Scan engine every job's harness uses. Pure performance knob —
-    /// `tests/ladder_identity.rs` and the serve chaos suite pin the
-    /// engines to identical bytes.
-    #[must_use]
-    pub fn with_engine(mut self, engine: ScanEngine) -> Campaign {
-        self.engine = engine;
-        self
     }
 
     /// Attach a tracer; every job's harness inherits it. Results are
@@ -306,14 +294,6 @@ impl Campaign {
         self
     }
 
-    /// Per-harness probe-scan fan-out (composes with the board-level pool:
-    /// total workers ≈ `board_threads × scan_threads`).
-    #[must_use]
-    pub fn with_scan_threads(mut self, threads: usize) -> Campaign {
-        self.scan_threads = threads.max(1);
-        self
-    }
-
     /// One job's full lifecycle: claim → sweep → done, with progress/ETA
     /// after completion. `done` counts finished jobs across the pool.
     fn run_job(
@@ -330,10 +310,8 @@ impl Campaign {
                 ("jobs_total", self.jobs.len().into()),
             ],
         );
-        let mut harness = Harness::new(job.board(), job.cfg, self.policy)?
-            .with_scan_threads(self.scan_threads)
-            .with_engine(self.engine)
-            .with_tracer(self.tracer.clone());
+        let mut harness =
+            Harness::new(job.board(), job.cfg, self.policy)?.with_tracer(self.tracer.clone());
         if let Some(dir) = &self.checkpoint_dir {
             let path = dir.join(job.checkpoint_name());
             // A torn or corrupt checkpoint (host crash mid-write) is
@@ -434,33 +412,14 @@ impl Campaign {
                 ("workers", workers.into()),
             ],
         );
-        let cursor = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<CampaignEntry, HarnessError>>>> =
-            self.jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // Work stealing: each idle worker grabs the next
-                    // unclaimed job, so a slow VC707 sweep never blocks the
-                    // three cheaper boards behind it.
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = self.jobs.get(idx) else {
-                        return;
-                    };
-                    let result = self.run_job(idx, job, &done);
-                    *slots[idx].lock().expect("campaign slot poisoned") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("campaign slot poisoned")
-                    .expect("worker pool exited with an unfilled slot")
-            })
-            .collect()
+        // Work stealing: each idle worker claims the next unclaimed job, so
+        // a slow VC707 sweep never blocks the three cheaper boards behind it.
+        fan_out(self.jobs.len(), workers, |idx| {
+            self.run_job(idx, &self.jobs[idx], &done)
+        })
+        .into_iter()
+        .collect()
     }
 
     #[must_use]

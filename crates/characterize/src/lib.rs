@@ -7,8 +7,9 @@
 //!   owned by `uvf-trace`, re-exported here for compatibility),
 //! * [`record`] — sweep records, crash telemetry and atomic checkpoints,
 //! * [`sweep`] — Listing-1 configuration and the BRAM/logic probes,
-//! * [`parallel`] — deterministic scoped-thread fan-out of the per-BRAM
-//!   probe scan (bit-identical to the sequential baseline),
+//! * [`parallel`] — the crate's one scoped-thread fan-out (campaign board
+//!   pool and per-BRAM probe scan), results merged in index order so they
+//!   are bit-identical to the sequential baseline,
 //! * [`harness`] — watchdog + retry/backoff + power-cycle recovery +
 //!   checkpointed resume (the crash-resilience core),
 //! * [`campaign`] — multi-board runner: one harness per die on a
@@ -48,9 +49,7 @@ pub use backoff::Backoff;
 pub use cache::FvmCache;
 pub use campaign::{Campaign, CampaignEntry, CampaignJob, CampaignManifest, ManifestEntry};
 pub use guardband::{discover, discover_all, GuardbandReport};
-pub use harness::{
-    Harness, HarnessError, HarnessStatus, RecoveryPolicy, ScanEngine, SimClock, MS_PER_RUN,
-};
+pub use harness::{Harness, HarnessError, HarnessStatus, RecoveryPolicy, SimClock, MS_PER_RUN};
 pub use json::{Json, JsonError};
 pub use parallel::{available_threads, platform_level_counts};
 pub use record::{
@@ -84,7 +83,7 @@ pub mod prelude {
         Campaign, CampaignEntry, CampaignJob, CampaignManifest, ManifestEntry,
     };
     pub use crate::guardband::{discover, discover_all, GuardbandReport};
-    pub use crate::harness::{Harness, HarnessError, HarnessStatus, RecoveryPolicy, ScanEngine};
+    pub use crate::harness::{Harness, HarnessError, HarnessStatus, RecoveryPolicy};
     pub use crate::json::Json;
     pub use crate::parallel::available_threads;
     pub use crate::record::{Checkpoint, FvmRecord, LevelRecord, SweepOutcome, SweepRecord};

@@ -1,17 +1,19 @@
-//! Deterministic scoped-thread fan-out for per-BRAM probe scans.
+//! Deterministic scoped-thread fan-out: the one place the crate spawns
+//! workers.
 //!
-//! The per-BRAM fault scan is embarrassingly parallel: each BRAM's count is
-//! a pure function of `(chip_seed, bram, resolved condition)`, so workers
-//! share nothing but the read-only model. The hard invariant — pinned by
-//! `tests/parallel_identity.rs` — is that the parallel result is
-//! **bit-identical** to the sequential baseline: every per-BRAM count lands
-//! in a slot indexed by `BramId` and the reduction walks those slots in
-//! `BramId` order, so thread scheduling can never reorder the merge.
-//!
-//! std-only: `std::thread::scope` with a static partition of the `BramId`
-//! space (BRAM scan costs are near-uniform, so work-stealing buys nothing
-//! here; the multi-board campaign in [`crate::campaign`] is where dynamic
-//! scheduling pays off).
+//! `fan_out` runs `n` independent tasks on a small pool that pulls task
+//! indices from a shared cursor (dynamic scheduling, so a slow task never
+//! blocks cheaper ones behind it) and returns the results **in index
+//! order**, whatever the thread schedule. Two callers use it: the
+//! multi-board [`crate::campaign::Campaign::run`] pool (one task per job)
+//! and [`platform_fault_count`] (one task per contiguous chunk of
+//! `BramId`s). Each per-BRAM count is a pure function of `(chip_seed, bram,
+//! resolved condition)` and the reduction walks the results in `BramId`
+//! order, so the parallel count is bit-identical to the sequential one —
+//! pinned by `tests/parallel_identity.rs`.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use uvf_faults::{FaultModel, MaskPlan, ResolvedCondition, WeakCell};
 use uvf_fpga::{BramId, DataPattern};
@@ -35,13 +37,46 @@ pub fn bram_fault_count(
 ) -> u64 {
     let mut count = 0u64;
     model.for_each_failing_resolved(bram, resolved, |cell| {
-        let stored = pattern.word(bram, u32::from(cell.row));
-        let stored_bit = stored & (1u16 << cell.bit) != 0;
-        if cell.observable(stored_bit) {
-            count += 1;
-        }
+        count += u64::from(observable_against(pattern, bram, cell));
     });
     count
+}
+
+/// Run `task(i)` for every `i in 0..n` on up to `threads` scoped workers
+/// (`<= 1`: on the calling thread) and return the results in index order.
+pub(crate) fn fan_out<T: Send>(
+    n: usize,
+    threads: usize,
+    task: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = threads.min(n).max(1);
+    if workers == 1 {
+        return (0..n).map(task).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                // Relaxed: the cursor only hands out indices; results are
+                // published through the slot mutexes and the scope's join.
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return;
+                }
+                let out = task(i);
+                *slots[i].lock().expect("fan-out slot poisoned") = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("fan-out slot poisoned")
+                .expect("fan-out pool exited with an unfilled slot")
+        })
+        .collect()
 }
 
 /// Observable flips across the whole BRAM pool, fanned over `threads`
@@ -55,33 +90,21 @@ pub fn platform_fault_count(
     threads: usize,
 ) -> u64 {
     let n_brams = model.platform().bram_count;
-    let workers = threads.min(n_brams).max(1);
-    if workers == 1 {
-        return (0..n_brams as u32)
-            .map(|b| bram_fault_count(model, pattern, resolved, BramId(b)))
-            .sum();
-    }
-    let mut counts = vec![0u64; n_brams];
-    let chunk = n_brams.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (i, slots) in counts.chunks_mut(chunk).enumerate() {
-            let first = (i * chunk) as u32;
-            scope.spawn(move || {
-                for (offset, slot) in slots.iter_mut().enumerate() {
-                    *slot =
-                        bram_fault_count(model, pattern, resolved, BramId(first + offset as u32));
-                }
-            });
-        }
-    });
-    // Per-BRAM counts are merged in BramId order: bit-identity with the
-    // sequential path by construction, not by luck.
-    counts.iter().sum()
+    // BRAM scan costs are near-uniform: one contiguous chunk per worker.
+    let workers = threads.clamp(1, n_brams.max(1));
+    let chunk = n_brams.div_ceil(workers).max(1);
+    fan_out(n_brams.div_ceil(chunk), workers, |i| {
+        let last = ((i + 1) * chunk).min(n_brams);
+        (i * chunk..last)
+            .map(|b| bram_fault_count(model, pattern, resolved, BramId(b as u32)))
+            .sum::<u64>()
+    })
+    .iter()
+    .sum()
 }
 
-/// Whether a flip of `cell` is observable against `pattern` — the exact
-/// predicate [`bram_fault_count`] applies, factored out so the batched
-/// ladder path below counts the same thing.
+/// Whether a flip of `cell` is observable against `pattern`: the one
+/// predicate both the per-run and the batched counts apply.
 fn observable_against(pattern: DataPattern, bram: BramId, cell: &WeakCell) -> bool {
     let stored = pattern.word(bram, u32::from(cell.row));
     cell.observable(stored & (1u16 << cell.bit) != 0)
@@ -90,54 +113,20 @@ fn observable_against(pattern: DataPattern, bram: BramId, cell: &WeakCell) -> bo
 /// Observable flips across the whole BRAM pool for *every* condition of a
 /// ladder-level family at once — the [`MaskPlan`] fast path. `out[i]` is
 /// bit-identical to `platform_fault_count(model, pattern, &conditions[i],
-/// _)` for any thread count: per-BRAM counts are `u64` sums, accumulated
-/// chunk-by-chunk in `BramId` order.
+/// _)`: per-BRAM counts are `u64` sums accumulated in `BramId` order.
 #[must_use]
 pub fn platform_level_counts(
     model: &FaultModel,
     pattern: DataPattern,
     conditions: &[ResolvedCondition],
-    threads: usize,
 ) -> Vec<u64> {
-    let runs = conditions.len();
-    let n_brams = model.platform().bram_count;
     let plan = MaskPlan::new(model, conditions.to_vec());
     let obs = |bram: BramId, cell: &WeakCell| observable_against(pattern, bram, cell);
-    let workers = threads.min(n_brams).max(1);
-    if workers <= 1 || runs == 0 {
-        let mut totals = vec![0u64; runs];
-        let mut per_bram = vec![0u64; runs];
-        for b in 0..n_brams as u32 {
-            plan.bram_counts(BramId(b), obs, &mut per_bram);
-            for (t, c) in totals.iter_mut().zip(&per_bram) {
-                *t += c;
-            }
-        }
-        return totals;
-    }
-    let chunk = n_brams.div_ceil(workers);
-    let mut partials: Vec<Vec<u64>> = vec![vec![0u64; runs]; workers];
-    std::thread::scope(|scope| {
-        for (i, acc) in partials.iter_mut().enumerate() {
-            let first = (i * chunk) as u32;
-            let last = ((i + 1) * chunk).min(n_brams) as u32;
-            let plan = &plan;
-            scope.spawn(move || {
-                let mut per_bram = vec![0u64; runs];
-                for b in first..last {
-                    plan.bram_counts(BramId(b), obs, &mut per_bram);
-                    for (t, c) in acc.iter_mut().zip(&per_bram) {
-                        *t += c;
-                    }
-                }
-            });
-        }
-    });
-    // Chunk accumulators merge in chunk (= BramId) order; u64 addition is
-    // exact, so the totals match the sequential reduction bit-for-bit.
-    let mut totals = vec![0u64; runs];
-    for acc in &partials {
-        for (t, c) in totals.iter_mut().zip(acc) {
+    let mut totals = vec![0u64; conditions.len()];
+    let mut per_bram = vec![0u64; conditions.len()];
+    for b in 0..model.platform().bram_count as u32 {
+        plan.bram_counts(BramId(b), obs, &mut per_bram);
+        for (t, c) in totals.iter_mut().zip(&per_bram) {
             *t += c;
         }
     }
@@ -173,6 +162,15 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_returns_results_in_index_order() {
+        let expect: Vec<usize> = (0..37).map(|i| i * i).collect();
+        for threads in [0, 1, 2, 5, 64] {
+            assert_eq!(fan_out(37, threads, |i| i * i), expect, "{threads} threads");
+        }
+        assert!(fan_out(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
     fn available_threads_is_positive() {
         assert!(available_threads() >= 1);
     }
@@ -196,13 +194,15 @@ mod tests {
             .map(|rc| platform_fault_count(&model, DataPattern::AllOnes, rc, 1))
             .collect();
         assert!(expect.iter().any(|&c| c > 0), "no faults at Vcrash");
-        for threads in [1, 2, 5, 64] {
-            assert_eq!(
-                platform_level_counts(&model, DataPattern::AllOnes, &conditions, threads),
-                expect,
-                "{threads} threads"
-            );
+        let batched = platform_level_counts(&model, DataPattern::AllOnes, &conditions);
+        assert_eq!(batched, expect);
+        for threads in [2, 5, 64] {
+            let fanned: Vec<u64> = conditions
+                .iter()
+                .map(|rc| platform_fault_count(&model, DataPattern::AllOnes, rc, threads))
+                .collect();
+            assert_eq!(batched, fanned, "{threads} threads");
         }
-        assert!(platform_level_counts(&model, DataPattern::AllOnes, &[], 4).is_empty());
+        assert!(platform_level_counts(&model, DataPattern::AllOnes, &[]).is_empty());
     }
 }

@@ -78,7 +78,6 @@ pub struct VminSearch {
     policy: RecoveryPolicy,
     chip_seed: Option<u64>,
     checkpoint_dir: Option<PathBuf>,
-    scan_threads: usize,
     tracer: Tracer,
 }
 
@@ -93,7 +92,6 @@ impl VminSearch {
             policy: RecoveryPolicy::default(),
             chip_seed: None,
             checkpoint_dir: None,
-            scan_threads: 1,
             tracer: Tracer::disabled(),
         }
     }
@@ -116,12 +114,6 @@ impl VminSearch {
     #[must_use]
     pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> VminSearch {
         self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    #[must_use]
-    pub fn with_scan_threads(mut self, threads: usize) -> VminSearch {
-        self.scan_threads = threads.max(1);
         self
     }
 
@@ -215,9 +207,7 @@ impl VminSearch {
         let platform = self.kind.descriptor();
         let chip_seed = self.chip_seed.unwrap_or(platform.default_chip_seed);
         let board = Board::with_chip_seed(platform, chip_seed);
-        let mut harness = Harness::new(board, cfg, self.policy)?
-            .with_tracer(self.tracer.clone())
-            .with_scan_threads(self.scan_threads);
+        let mut harness = Harness::new(board, cfg, self.policy)?.with_tracer(self.tracer.clone());
         if let Some(dir) = &self.checkpoint_dir {
             std::fs::create_dir_all(dir).map_err(|e| {
                 HarnessError::Config(format!("checkpoint dir {}: {e}", dir.display()))

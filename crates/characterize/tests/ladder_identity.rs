@@ -1,75 +1,96 @@
-//! The ladder scan engine is a pure performance knob: full-ladder sweep
-//! records, fingerprints and checkpoint bytes are bit-identical to the
-//! per-run baseline on every platform, thread count, and through
-//! checkpointed resume.
+//! The harness counts BRAM faults through the ladder kernel (one batched
+//! scan per level); [`Probe::sample`] is the independent per-run oracle.
+//! Every `RunRecord` of a full-ladder sweep must equal the oracle at that
+//! `(v, run)` on every platform, and checkpointed or budget-paused resumes
+//! must reproduce the uninterrupted sweep's bytes.
 
 use uvf_characterize::prelude::*;
+use uvf_characterize::record::Checkpoint;
+use uvf_faults::FaultModel;
 use uvf_fpga::{Board, Millivolts, PlatformKind, Rail};
 
-fn listing1_cfg(kind: PlatformKind) -> SweepConfig {
+fn listing1_cfg() -> SweepConfig {
     // The full Listing-1 ladder shape (1000 mV down to the crash) with a
     // reduced run count per level so four platforms stay test-sized; the
     // level structure — the thing the ladder kernel exploits — is intact.
-    let _ = kind;
     SweepConfig::builder(Rail::Vccbram).runs(3).build()
 }
 
-fn run_with(kind: PlatformKind, engine: ScanEngine, threads: usize) -> (String, u64) {
-    let board = Board::new(kind.descriptor());
-    let mut h = Harness::new(board, listing1_cfg(kind), RecoveryPolicy::default())
-        .unwrap()
-        .with_engine(engine)
-        .with_scan_threads(threads);
-    h.run().unwrap();
-    (h.record().to_json_string(), h.clock_ms())
+/// Assert every run of `record` against an independent per-run probe scan
+/// on a freshly built model of the same die. Returns the runs checked.
+fn assert_matches_probe(kind: PlatformKind, cfg: &SweepConfig, record: &SweepRecord) -> usize {
+    let platform = kind.descriptor();
+    let model = FaultModel::new(platform);
+    let mut board = Board::new(platform);
+    Probe::Bram.arm(&mut board, cfg.pattern).unwrap();
+    let mut checked = 0;
+    for level in &record.levels {
+        let v = Millivolts(level.v_mv);
+        for r in &level.runs {
+            let oracle = Probe::Bram.sample(&board, &model, cfg, v, r.run).unwrap();
+            assert_eq!(r.faults, oracle, "{kind:?} at {v} run {}", r.run);
+            checked += 1;
+        }
+    }
+    checked
 }
 
 #[test]
 fn ladder_engine_is_bit_identical_on_all_platforms() {
+    let cfg = listing1_cfg();
     for kind in PlatformKind::ALL {
-        let (legacy, legacy_ms) = run_with(kind, ScanEngine::PerRun, 1);
-        let (ladder, ladder_ms) = run_with(kind, ScanEngine::Ladder, 1);
-        assert_eq!(legacy, ladder, "{kind:?}: record diverged");
-        assert_eq!(legacy_ms, ladder_ms, "{kind:?}: simulated clock diverged");
-        let (threaded, _) = run_with(kind, ScanEngine::Ladder, 4);
-        assert_eq!(legacy, threaded, "{kind:?}: threaded ladder diverged");
+        let mut h = Harness::new(
+            Board::new(kind.descriptor()),
+            cfg,
+            RecoveryPolicy::default(),
+        )
+        .unwrap();
+        h.run().unwrap();
+        let record = h.record();
+        assert!(record.vmin().is_some(), "{kind:?}: sweep found no faults");
+        let checked = assert_matches_probe(kind, &cfg, record);
+        assert!(
+            checked >= record.levels.len(),
+            "{kind:?}: only {checked} runs"
+        );
     }
 }
 
 #[test]
 fn ladder_engine_checkpoint_bytes_match_the_per_run_path() {
     let kind = PlatformKind::Zc702;
+    let cfg = listing1_cfg();
     let dir = std::env::temp_dir().join(format!("uvf_ladder_identity_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let mut finals = Vec::new();
-    for (name, engine) in [
-        ("per_run", ScanEngine::PerRun),
-        ("ladder", ScanEngine::Ladder),
-    ] {
-        let path = dir.join(format!("{name}.json"));
-        let board = Board::new(kind.descriptor());
-        let mut h = Harness::new(board, listing1_cfg(kind), RecoveryPolicy::default())
-            .unwrap()
-            .with_engine(engine)
-            .with_checkpoint_path(&path)
-            .unwrap();
-        // Pause mid-sweep, then resume in a fresh harness from the
-        // checkpoint — the crash-recovery path the fleet exercises.
-        let _ = h.run_budgeted(7).unwrap();
-        drop(h);
-        let board = Board::new(kind.descriptor());
-        let mut h = Harness::new(board, listing1_cfg(kind), RecoveryPolicy::default())
-            .unwrap()
-            .with_engine(engine)
-            .with_checkpoint_path(&path)
-            .unwrap();
-        h.run().unwrap();
-        finals.push(std::fs::read(&path).unwrap());
-    }
+    let harness = |path: &std::path::Path| {
+        Harness::new(
+            Board::new(kind.descriptor()),
+            cfg,
+            RecoveryPolicy::default(),
+        )
+        .unwrap()
+        .with_checkpoint_path(path)
+        .unwrap()
+    };
+
+    let straight = dir.join("straight.json");
+    harness(&straight).run().unwrap();
+
+    // Pause mid-sweep, then resume in a fresh harness from the checkpoint
+    // — the crash-recovery path the fleet exercises.
+    let resumed = dir.join("resumed.json");
+    let status = harness(&resumed).run_budgeted(7).unwrap();
+    assert_eq!(status, HarnessStatus::Paused { runs_done: 7 });
+    harness(&resumed).run().unwrap();
+
+    let bytes = std::fs::read(&straight).unwrap();
     assert_eq!(
-        finals[0], finals[1],
-        "checkpoint bytes diverged between engines"
+        bytes,
+        std::fs::read(&resumed).unwrap(),
+        "paused+resumed checkpoint bytes diverged from the uninterrupted sweep"
     );
+    let record = Checkpoint::load(&straight).unwrap().record;
+    assert_matches_probe(kind, &cfg, &record);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -85,16 +106,14 @@ fn resumed_ladder_sweep_matches_uninterrupted() {
         cfg,
         RecoveryPolicy::default(),
     )
-    .unwrap()
-    .with_engine(ScanEngine::Ladder);
+    .unwrap();
     straight.run().unwrap();
     let mut chunked = Harness::new(
         Board::new(kind.descriptor()),
         cfg,
         RecoveryPolicy::default(),
     )
-    .unwrap()
-    .with_engine(ScanEngine::Ladder);
+    .unwrap();
     while let HarnessStatus::Paused { .. } = chunked.run_budgeted(3).unwrap() {}
     assert_eq!(
         straight.record().to_json_string(),

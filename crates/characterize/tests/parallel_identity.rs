@@ -1,17 +1,15 @@
 //! Property tests for the parallel sweep engine: fanning work over
 //! threads must never change a single byte of output.
 //!
-//! Three layers, each checked on all four Table-I platforms:
+//! Two layers, each checked on all four Table-I platforms:
 //!
 //! * probe level — [`Probe::sample_with_threads`] equals [`Probe::sample`]
 //!   for every thread count, voltage and run index tried,
-//! * harness level — a sweep with a fanned probe scan serializes to the
-//!   same `SweepRecord` JSON bytes as the sequential baseline,
 //! * campaign level — the work-stealing multi-board runner reproduces
 //!   `run_sequential`'s bytes, including the on-disk checkpoint files and
 //!   their resume fingerprints.
 
-use uvf_characterize::{Campaign, CampaignJob, Harness, Probe, RecoveryPolicy, SweepConfig};
+use uvf_characterize::{Campaign, CampaignJob, Probe, RecoveryPolicy, SweepConfig};
 use uvf_faults::FaultModel;
 use uvf_fpga::{Board, Millivolts, PlatformKind, Rail};
 
@@ -61,34 +59,6 @@ fn parallel_probe_sample_equals_sequential_on_all_platforms() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn fanned_harness_record_is_byte_identical_on_all_platforms() {
-    for kind in PlatformKind::ALL {
-        let platform = kind.descriptor();
-        let cfg = short_cfg(kind, 2);
-
-        let mut sequential =
-            Harness::new(Board::new(platform), cfg, RecoveryPolicy::default()).unwrap();
-        sequential.run().unwrap();
-
-        let mut fanned = Harness::new(Board::new(platform), cfg, RecoveryPolicy::default())
-            .unwrap()
-            .with_scan_threads(4);
-        fanned.run().unwrap();
-
-        assert_eq!(
-            sequential.record().to_json_string(),
-            fanned.record().to_json_string(),
-            "{kind:?}: fanned probe scan changed the record bytes"
-        );
-        assert_eq!(
-            sequential.record().fingerprint(),
-            fanned.record().fingerprint(),
-            "{kind:?}: resume fingerprint drifted"
-        );
     }
 }
 

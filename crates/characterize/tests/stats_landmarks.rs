@@ -137,16 +137,11 @@ fn binary_search_vmin_matches_the_exhaustive_sweep_on_every_platform() {
             .start(Millivolts(platform.vccbram.vmin.0 + 40))
             .build();
         let board = uvf_fpga::Board::new(platform);
-        let mut harness = Harness::new(board, cfg, RecoveryPolicy::default())
-            .unwrap()
-            .with_scan_threads(available_threads());
+        let mut harness = Harness::new(board, cfg, RecoveryPolicy::default()).unwrap();
         harness.run().unwrap();
         let sweep_vmin = harness.record().vmin();
 
-        let report = VminSearch::new(kind, cfg)
-            .with_scan_threads(available_threads())
-            .run()
-            .unwrap();
+        let report = VminSearch::new(kind, cfg).run().unwrap();
         println!(
             "{kind}: sweep vmin={:?} search vmin={:?} probes={}/{} levels",
             sweep_vmin,

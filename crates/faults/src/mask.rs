@@ -10,10 +10,9 @@
 //! condition once into dense per-row AND/OR bitmasks for one BRAM, so
 //! corrupting a whole read-back stream (the `uvf-accel` weight path, the
 //! pattern experiments) is two bitwise ops per word with no per-cell work
-//! at all. Both forms are bit-identical to [`FaultModel::corrupt_word`] —
-//! the equivalence tests below and in `uvf-bench` pin that.
-//!
-//! [`FaultModel::corrupt_word`]: crate::model::FaultModel::corrupt_word
+//! at all. Both forms are bit-identical to a per-cell walk of the BRAM's
+//! weak cells — the equivalence tests below and in
+//! `tests/mask_equivalence.rs` pin that.
 
 use crate::model::{FaultModel, ReadCondition, JITTER_WINDOW_SIGMAS, TAG_JITTER};
 use crate::rng::standard_normal;
@@ -363,6 +362,31 @@ impl FaultMask {
     }
 }
 
+/// Per-cell reference read the unit tests check [`FaultMask`] against:
+/// walk every weak cell of `bram`, keep those in `row` that are observable
+/// against `stored` and fail under `resolved`.
+#[cfg(test)]
+pub(crate) fn corrupt_reference(
+    model: &FaultModel,
+    bram: BramId,
+    row: u16,
+    stored: u16,
+    resolved: &ResolvedCondition,
+) -> u16 {
+    let mut word = stored;
+    for cell in model.weak_cells(bram).iter().filter(|c| c.row == row) {
+        let bit = 1u16 << cell.bit;
+        if cell.observable(stored & bit != 0) && resolved.cell_fails(bram, cell) {
+            if cell.one_to_zero {
+                word &= !bit;
+            } else {
+                word |= bit;
+            }
+        }
+    }
+    word
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,7 +479,7 @@ mod tests {
         for b in (0..m.platform().bram_count as u32).step_by(37) {
             let bram = BramId(b);
             let mut from_scan = Vec::new();
-            m.for_each_failing(bram, &cond, |c| from_scan.push(*c));
+            m.for_each_failing_resolved(bram, &rc, |c| from_scan.push(*c));
             let from_resolved: Vec<WeakCell> = m
                 .weak_cells(bram)
                 .iter()
@@ -479,7 +503,7 @@ mod tests {
                 for stored in [0xFFFFu16, 0x0000, 0xAAAA, 0x5555, 0x1234] {
                     assert_eq!(
                         mask.apply(row, stored),
-                        m.corrupt_word(bram, row, stored, &cond),
+                        corrupt_reference(&m, bram, row, stored, &rc),
                         "BRAM {b} row {row} stored {stored:#06x}"
                     );
                 }

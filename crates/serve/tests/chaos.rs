@@ -443,18 +443,15 @@ fn sigkilled_and_hung_workers_recover_to_identical_bytes() {
 }
 
 /// The ladder kernel and the FVM cache are pure perf machinery: a
-/// distributed campaign (workers sweep with the default ladder engine,
-/// models served from the process-wide cache) must merge to the same
-/// manifest bytes as an in-process baseline forced onto the legacy
-/// per-run engine — and census queries answered mid-campaign must match
-/// a from-scratch capture byte-for-byte.
+/// distributed campaign (workers sweep through the ladder kernel, models
+/// served from the process-wide cache) must merge to the same manifest
+/// bytes as an in-process sequential baseline — and census queries
+/// answered mid-campaign must match a from-scratch capture byte-for-byte.
 #[test]
 fn ladder_engine_and_fvm_cache_preserve_merged_manifest_bytes() {
     let jobs = campaign_jobs();
     let base_dir = scratch_dir("base-ladder");
-    let mut campaign = Campaign::new(RecoveryPolicy::default())
-        .with_checkpoint_dir(&base_dir)
-        .with_engine(ScanEngine::PerRun);
+    let mut campaign = Campaign::new(RecoveryPolicy::default()).with_checkpoint_dir(&base_dir);
     for job in &jobs {
         campaign.push(*job);
     }

@@ -31,6 +31,12 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Records,
+/// checkpoints, events and wire frames nest at most a handful of levels;
+/// the cap keeps the recursive-descent parser's stack use bounded, so a
+/// hostile frame of `[[[[…` is an error instead of a stack overflow.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     pub msg: String,
@@ -157,6 +163,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -197,6 +204,8 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -241,8 +250,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -444,6 +464,26 @@ mod tests {
         let control = Json::Str("\u{1}".to_string()).to_string();
         assert_eq!(control, "\"\\u0001\"");
         assert_eq!(Json::parse(&control).unwrap().as_str(), Some("\u{1}"));
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let hostile = "[".repeat(100_000);
+        let err = Json::parse(&hostile).unwrap_err();
+        assert_eq!(
+            err.offset, MAX_DEPTH,
+            "rejected at the first level past the cap"
+        );
+        assert!(err.msg.contains("nesting"), "{err}");
+
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]
