@@ -16,6 +16,9 @@
 //! * `campaign/*` — the 4-board Table-I campaign, sequential vs the
 //!   work-stealing pool (`campaign_speedup` is wall-clock, so it only
 //!   exceeds 1 on multi-core hosts).
+//! * `nn/*` — the corrupted weight read-back, one `predict`, and scoring
+//!   the 625-sample test split with the batched `Mlp::error_on` vs a
+//!   `predict` loop (`nn_batched_vs_per_sample_x` is their ratio).
 //! * `ecc_decode/*` — the raw corrupted read-back vs the SECDED
 //!   corrupt-and-decode path over the same fault masks, paired per sample
 //!   (`ecc_decode_overhead_x` is the acceptance number: the mitigation
@@ -45,7 +48,7 @@ use uvf_characterize::prelude::{
 };
 use uvf_faults::{run_seed, FaultModel, LadderKernel, ReadCondition, ResolvedCondition, WeakCell};
 use uvf_fpga::{Board, BramId, Millivolts, PlatformKind, Rail, BRAM_ROWS};
-use uvf_nn::{Mlp, QNetwork};
+use uvf_nn::{DatasetKind, Mlp, QNetwork};
 use uvf_trace::{Manifest, MemorySink, Tracer};
 
 struct Args {
@@ -508,6 +511,33 @@ fn bench_nn_inference(suite: &mut Suite, opts: &BenchOptions) {
     // reusing the corrupted snapshot — the amortization ICBP relies on.
     suite.derive("nn_fps_reread_weights", 1e9 / (readback_ns + classify_ns));
     suite.derive("nn_fps_snapshot_weights", 1e9 / classify_ns);
+
+    // Scoring a whole test split: the batched `error_on` against the
+    // one-`predict`-per-sample loop it replaced, same net and samples.
+    let test = DatasetKind::MnistLike.generate(1).test;
+    let per_sample_error = |net: &Mlp| {
+        let wrong = (0..test.len())
+            .filter(|&i| net.predict(test.input(i)) != test.label(i) as usize)
+            .count();
+        wrong as f64 / test.len() as f64
+    };
+    assert_eq!(
+        corrupted.error_on(&test),
+        per_sample_error(&corrupted),
+        "batched and per-sample evaluation disagree"
+    );
+    let samples = test.len() as u64;
+    let batched = bench("nn/error_on_test_split", samples, opts, || {
+        corrupted.error_on(&test)
+    });
+    let batched_ns = batched.median_ns.max(1) as f64;
+    print_measurement(suite.record(batched));
+    let per_sample = bench("nn/predict_loop_test_split", samples, opts, || {
+        per_sample_error(&corrupted)
+    });
+    let per_sample_ns = per_sample.median_ns.max(1) as f64;
+    print_measurement(suite.record(per_sample));
+    suite.derive("nn_batched_vs_per_sample_x", per_sample_ns / batched_ns);
 }
 
 /// The SECDED read-back (mask build + corrupt + two-pass decode, exactly

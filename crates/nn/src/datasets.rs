@@ -41,6 +41,35 @@ pub struct Dataset {
 }
 
 impl Dataset {
+    /// Wrap explicit samples: `inputs` holds `labels.len()` rows of
+    /// `input_dim` values each, and every label is below `classes`.
+    ///
+    /// # Panics
+    /// If the buffer length or a label disagrees with the shape.
+    #[must_use]
+    pub fn from_parts(
+        input_dim: usize,
+        classes: usize,
+        inputs: Vec<f32>,
+        labels: Vec<u8>,
+    ) -> Dataset {
+        assert_eq!(
+            inputs.len(),
+            labels.len() * input_dim,
+            "shape/buffer mismatch"
+        );
+        assert!(
+            labels.iter().all(|&l| usize::from(l) < classes),
+            "label out of range"
+        );
+        Dataset {
+            input_dim,
+            classes,
+            inputs,
+            labels,
+        }
+    }
+
     #[must_use]
     pub fn len(&self) -> usize {
         self.labels.len()

@@ -13,6 +13,15 @@ use uvf_fpga::seedmix::{mix, unit_f64};
 
 const TAG_INIT: u64 = 0x0011_e7a1;
 
+/// Samples [`Mlp::error_on`] carries side by side through each layer:
+/// one 128-bit vector, so every output row is a single add chain, as in
+/// [`Mlp::predict`], four samples wide. Wider tiles give each row several
+/// independent chains; they run faster on an idle core, but their speed
+/// then moves with whatever else shares the core's execution units,
+/// while one chain per row leaves those units mostly free and keeps
+/// evaluation time steady.
+const LANES: usize = 4;
+
 /// The paper's MNIST accelerator topology.
 pub const MNIST_LAYOUT: [usize; 6] = [784, 1024, 512, 256, 128, 10];
 
@@ -65,6 +74,27 @@ impl Dense {
         self.w.matvec_into(x, out);
         for (o, &bi) in out.iter_mut().zip(&self.b) {
             *o += bi;
+        }
+    }
+
+    /// [`Dense::forward_into`] for [`LANES`] samples at once, inputs and
+    /// outputs k-major (`x[k * LANES + s]`), optionally followed by ReLU.
+    /// Per lane this is the same operation sequence as `forward_into`:
+    /// `acc = 0; acc += w[k] * x[k]` for `k` in order, then `acc + b`.
+    fn forward_lanes(&self, x: &[f32], out: &mut [f32], relu: bool) {
+        let (x, _) = x.as_chunks::<LANES>();
+        let (out, _) = out.as_chunks_mut::<LANES>();
+        for (r, (o, &b)) in out.iter_mut().zip(&self.b).enumerate() {
+            let mut acc = [0.0f32; LANES];
+            for (&w, xk) in self.w.row(r).iter().zip(x) {
+                for (a, &v) in acc.iter_mut().zip(xk) {
+                    *a += w * v;
+                }
+            }
+            for (o, a) in o.iter_mut().zip(acc) {
+                let v = a + b;
+                *o = if relu { v.max(0.0) } else { v };
+            }
         }
     }
 }
@@ -172,15 +202,77 @@ impl Mlp {
     }
 
     /// Classification error rate on a dataset, in `[0, 1]`.
+    ///
+    /// Counts exactly the samples a [`Mlp::predict`] loop gets wrong, but
+    /// evaluates the split in tiles of four samples stored k-major
+    /// (`x[k][s]`): each output runs `acc[s] += w[r][k] * x[k][s]` across
+    /// the sample lanes `s` with `k` in order, then `+ b`, the hidden-layer
+    /// ReLU and the first-wins argmax. Vectorizing across samples rather
+    /// than along `k` leaves every sample's f32 operations — the same
+    /// products, summed in the same order — untouched, so the count is
+    /// bit-identical (Rust never contracts `a * b + c` into a fused
+    /// multiply-add). Padding lanes of the last tile are never counted.
+    ///
+    /// # Panics
+    /// If the dataset's input width is not the network's.
     #[must_use]
     pub fn error_on(&self, data: &Dataset) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
-        let wrong = (0..data.len())
-            .filter(|&i| self.predict(data.input(i)) != data.label(i) as usize)
-            .count();
+        assert_eq!(data.input_dim(), self.in_dim(), "input length");
+        let widest = self
+            .layers
+            .iter()
+            .map(Dense::out_dim)
+            .fold(self.in_dim(), usize::max);
+        let mut cur = vec![0.0f32; widest * LANES];
+        let mut next = vec![0.0f32; widest * LANES];
+        let out_dim = self.out_dim();
+        let mut wrong = 0usize;
+        for start in (0..data.len()).step_by(LANES) {
+            let n = LANES.min(data.len() - start);
+            self.forward_tile(data, start..start + n, &mut cur, &mut next);
+            for s in 0..n {
+                let mut best = 0;
+                for i in 1..out_dim {
+                    if cur[i * LANES + s] > cur[best * LANES + s] {
+                        best = i;
+                    }
+                }
+                if best != data.label(start + s) as usize {
+                    wrong += 1;
+                }
+            }
+        }
         wrong as f64 / data.len() as f64
+    }
+
+    /// Pack the samples `tile` of `data` k-major into `cur` (zero padding
+    /// up to [`LANES`]) and run every layer over them, leaving the logits
+    /// k-major in `cur`. Both buffers hold the widest layer × `LANES`.
+    fn forward_tile(
+        &self,
+        data: &Dataset,
+        tile: std::ops::Range<usize>,
+        cur: &mut Vec<f32>,
+        next: &mut Vec<f32>,
+    ) {
+        let x = &mut cur[..self.in_dim() * LANES];
+        x.fill(0.0);
+        for (s, i) in tile.enumerate() {
+            for (xk, &v) in x.chunks_exact_mut(LANES).zip(data.input(i)) {
+                xk[s] = v;
+            }
+        }
+        for (l, layer) in self.layers.iter().enumerate() {
+            layer.forward_lanes(
+                &cur[..layer.in_dim() * LANES],
+                &mut next[..layer.out_dim() * LANES],
+                l + 1 < self.layers.len(),
+            );
+            std::mem::swap(cur, next);
+        }
     }
 }
 
@@ -232,6 +324,30 @@ mod tests {
             Mlp::from_layers(vec![l0.clone(), Dense::init(4, 2, 0, 1)])
         });
         assert!(bad.is_err());
+    }
+
+    #[test]
+    fn lane_logits_equal_forward_bit_for_bit() {
+        // Logits, not just predictions: any change to a sample's summation
+        // order would show in the low bits here.
+        let net = Mlp::new(&[37, 19, 11, 10], 3);
+        let n = 23;
+        let inputs: Vec<f32> = (0..n * 37)
+            .map(|i| gauss(5, 0, i as u64) as f32 * 2f32.powi(i as i32 % 9 - 4))
+            .collect();
+        let labels = vec![0u8; n];
+        let data = Dataset::from_parts(37, 10, inputs, labels);
+        let mut cur = vec![0.0f32; 37 * LANES];
+        let mut next = vec![0.0f32; 37 * LANES];
+        for start in (0..n).step_by(LANES) {
+            let end = n.min(start + LANES);
+            net.forward_tile(&data, start..end, &mut cur, &mut next);
+            for (s, i) in (start..end).enumerate() {
+                for (c, want) in net.forward(data.input(i)).iter().enumerate() {
+                    assert_eq!(cur[c * LANES + s].to_bits(), want.to_bits(), "sample {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,15 @@
 //! operations the forward/backward passes use. Being in-tree (no BLAS, no
 //! ndarray) keeps the workspace std-only and the arithmetic bit-stable
 //! across runs — the determinism contract of the whole simulator.
+//!
+//! f32 addition does not associate, so every output here is one serial
+//! sum over `k` in index order. [`Matrix::matvec_into`] gains its speed by
+//! running several rows' sums side by side, never by splitting one sum;
+//! batched inference over many samples lives in [`crate::Mlp::error_on`],
+//! which keeps the same per-sample order across sample lanes.
+
+/// Rows [`Matrix::matvec_into`] accumulates side by side.
+const ROW_BLOCK: usize = 8;
 
 /// Row-major `rows × cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,13 +86,32 @@ impl Matrix {
 
     /// `out = self · x` (matrix–vector product), `x.len() == cols`.
     ///
+    /// Rows go eight at a time, each with its own accumulator summed over
+    /// `k` in order, so every output is the same serial f32 chain as a
+    /// one-row-at-a-time loop — bit for bit — while the block gives the
+    /// CPU independent add chains to overlap.
+    ///
     /// # Panics
     /// If the shapes do not line up.
     pub fn matvec_into(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "input length");
         assert_eq!(out.len(), self.rows, "output length");
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
+        // Rows re-sliced to `x.len()` so the compiler can drop the bounds
+        // checks on `row[k]`.
+        let mut rows = (0..self.rows).map(|r| &self.row(r)[..x.len()]);
+        let mut outs = out.chunks_exact_mut(ROW_BLOCK);
+        for o in &mut outs {
+            let block: [&[f32]; ROW_BLOCK] =
+                std::array::from_fn(|_| rows.next().expect("one weight row per output"));
+            let mut acc = [0.0f32; ROW_BLOCK];
+            for (k, &v) in x.iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(&block) {
+                    *a += row[k] * v;
+                }
+            }
+            o.copy_from_slice(&acc);
+        }
+        for (o, row) in outs.into_remainder().iter_mut().zip(rows) {
             let mut acc = 0.0f32;
             for (w, v) in row.iter().zip(x) {
                 acc += w * v;
