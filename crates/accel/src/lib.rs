@@ -34,3 +34,18 @@ pub use mitigation::{
 pub use pareto::{voltage_accuracy_power_sweep, ParetoConfig, ParetoPoint, ParetoSweep};
 pub use placement::{brams_for, brams_for_capacity, LayerSpan, Placement};
 pub use vulnerability::{layer_vulnerability, layer_vulnerability_traced, VulnerabilityReport};
+
+/// The undervolting ladder of the sweeps: `start_mv` down to `floor_mv`
+/// (inclusive) in `step_mv` decrements (a zero step counts as 1 mV).
+fn descending_rungs(start_mv: u32, floor_mv: u32, step_mv: u32) -> Vec<uvf_fpga::Millivolts> {
+    let mut rungs = Vec::new();
+    let mut v = start_mv;
+    while v >= floor_mv {
+        rungs.push(uvf_fpga::Millivolts(v));
+        v = match v.checked_sub(step_mv.max(1)) {
+            Some(next) => next,
+            None => break,
+        };
+    }
+    rungs
+}

@@ -34,7 +34,7 @@ use uvf_faults::ecc::{self, EccStats};
 use uvf_faults::{FaultModel, ReadCondition};
 use uvf_fpga::eccmode::{ECC_CODEWORDS_PER_BRAM, ECC_WORDS_PER_BRAM};
 use uvf_fpga::BRAM_ROWS;
-use uvf_fpga::{eccmode, Board, BoardError, BramId, Millivolts, Platform, PlatformKind, Rail};
+use uvf_fpga::{eccmode, Board, BoardError, BramId, Platform, PlatformKind, Rail};
 use uvf_nn::{QNetwork, SyntheticData};
 use uvf_trace::Tracer;
 
@@ -182,15 +182,7 @@ pub fn ecc_ladder_census(
     let mbits = stripe_bits / (1u64 << 20) as f64;
 
     let rail = p.rail(Rail::Vccbram);
-    let mut levels = Vec::new();
-    let mut v = rail.vmin.0 + start_above_vmin_mv;
-    while v >= rail.vcrash.0 {
-        levels.push(Millivolts(v));
-        v = match v.checked_sub(step_mv.max(1)) {
-            Some(next) => next,
-            None => break,
-        };
-    }
+    let levels = crate::descending_rungs(rail.vmin.0 + start_above_vmin_mv, rail.vcrash.0, step_mv);
 
     let mut scratch = [0u16; BRAM_ROWS];
     let mut sink = Vec::with_capacity(ECC_WORDS_PER_BRAM);
@@ -376,15 +368,8 @@ pub fn mitigation_shootout_traced(
     let fvm = model.variation_map(rail.vcrash);
 
     let floor_mv = rail.vcrash.0.saturating_sub(cfg.descend_below_vcrash_mv);
-    let mut rungs = Vec::new();
-    let mut v = rail.vmin.0 + cfg.start_above_vmin_mv;
-    while v >= floor_mv {
-        rungs.push(Millivolts(v));
-        v = match v.checked_sub(cfg.step_mv.max(1)) {
-            Some(next) => next,
-            None => break,
-        };
-    }
+    let rungs =
+        crate::descending_rungs(rail.vmin.0 + cfg.start_above_vmin_mv, floor_mv, cfg.step_mv);
 
     let mut curves = Vec::with_capacity(Mitigation::ALL.len());
     for m in Mitigation::ALL {

@@ -109,14 +109,15 @@ pub fn voltage_accuracy_power_sweep(
 
     let rail = platform.rail(Rail::Vccbram);
     let mut levels = vec![(Millivolts::NOMINAL, false)];
-    let mut v = rail.vmin.0 + cfg.start_above_vmin_mv;
-    while v >= rail.vcrash.0 {
-        levels.push((Millivolts(v), true));
-        v = match v.checked_sub(cfg.step_mv.max(1)) {
-            Some(next) => next,
-            None => break,
-        };
-    }
+    levels.extend(
+        crate::descending_rungs(
+            rail.vmin.0 + cfg.start_above_vmin_mv,
+            rail.vcrash.0,
+            cfg.step_mv,
+        )
+        .into_iter()
+        .map(|v| (v, true)),
+    );
 
     let mut points = Vec::with_capacity(levels.len());
     for (v, undervolted) in levels {

@@ -16,7 +16,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 use uvf_characterize::Json;
-use uvf_trace::{Histogram, PhaseTime};
+use uvf_trace::PhaseTime;
 
 /// Global sizing of a suite run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,31 +63,36 @@ pub struct Measurement {
 }
 
 impl Measurement {
+    /// Summarize raw per-sample timings: exact median, min and max.
+    ///
+    /// # Panics
+    /// If `samples_ns` is empty.
+    #[must_use]
+    pub fn from_samples(name: &str, ops_per_sample: u64, samples_ns: Vec<u64>) -> Measurement {
+        Measurement {
+            name: name.to_string(),
+            ops_per_sample,
+            median_ns: median_ns(&samples_ns),
+            min_ns: *samples_ns.iter().min().expect("samples nonempty"),
+            max_ns: *samples_ns.iter().max().expect("samples nonempty"),
+            samples_ns,
+        }
+    }
+
     /// Median nanoseconds per single work unit.
     #[must_use]
     pub fn ns_per_op(&self) -> f64 {
         self.median_ns as f64 / self.ops_per_sample.max(1) as f64
     }
 
-    /// The samples folded into a `uvf-trace` fixed-bucket histogram —
-    /// the source of the reported p50/p95/p99.
-    #[must_use]
-    pub fn histogram(&self) -> Histogram {
-        Histogram::from_samples(&self.samples_ns)
-    }
-
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let hist = self.histogram();
         Json::obj(vec![
             ("name", Json::Str(self.name.clone())),
             ("ops_per_sample", Json::UInt(self.ops_per_sample)),
             ("median_ns", Json::UInt(self.median_ns)),
             ("min_ns", Json::UInt(self.min_ns)),
             ("max_ns", Json::UInt(self.max_ns)),
-            ("p50_ns", Json::UInt(hist.p50())),
-            ("p95_ns", Json::UInt(hist.p95())),
-            ("p99_ns", Json::UInt(hist.p99())),
             ("ns_per_op", Json::Float(self.ns_per_op())),
             (
                 "samples_ns",
@@ -130,17 +135,7 @@ pub fn bench<R>(
             u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
         })
         .collect();
-    let median = median_ns(&samples_ns);
-    let min = *samples_ns.iter().min().expect("samples nonempty");
-    let max = *samples_ns.iter().max().expect("samples nonempty");
-    Measurement {
-        name: name.to_string(),
-        ops_per_sample,
-        samples_ns,
-        median_ns: median,
-        min_ns: min,
-        max_ns: max,
-    }
+    Measurement::from_samples(name, ops_per_sample, samples_ns)
 }
 
 /// A named scalar derived from measurements (speedup ratios etc.).
@@ -197,7 +192,7 @@ impl Suite {
     #[must_use]
     pub fn to_json_string(&self) -> String {
         Json::obj(vec![
-            ("version", Json::UInt(2)),
+            ("version", Json::UInt(3)),
             ("quick", Json::Bool(self.quick)),
             ("threads", Json::UInt(self.threads as u64)),
             (
@@ -231,13 +226,10 @@ impl Suite {
         .to_string()
     }
 
-    /// Atomic write (temp + rename), like the sweep checkpoints.
+    /// Write with [`uvf_trace::write_atomic`] (temp file, fsync, rename),
+    /// like the sweep checkpoints.
     pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_json_string())?;
-        std::fs::rename(&tmp, path)
+        uvf_trace::write_atomic(path, self.to_json_string().as_bytes())
     }
 }
 
@@ -333,14 +325,7 @@ mod tests {
     #[test]
     fn suite_json_is_parseable_and_carries_derived() {
         let mut suite = Suite::new(true, 4);
-        suite.record(Measurement {
-            name: "x".into(),
-            ops_per_sample: 2,
-            samples_ns: vec![10, 20, 30],
-            median_ns: 20,
-            min_ns: 10,
-            max_ns: 30,
-        });
+        suite.record(Measurement::from_samples("x", 2, vec![30, 10, 20]));
         suite.derive("speedup", 12.5);
         suite.phases.push(PhaseTime {
             name: "word_kernels".into(),
@@ -348,14 +333,14 @@ mod tests {
         });
         assert_eq!(suite.derived_value("speedup"), Some(12.5));
         let parsed = Json::parse(&suite.to_json_string()).unwrap();
-        assert_eq!(parsed.get("version").and_then(Json::as_u64), Some(2));
+        assert_eq!(parsed.get("version").and_then(Json::as_u64), Some(3));
         assert_eq!(parsed.get("threads").and_then(Json::as_u64), Some(4));
-        // Quantiles are bucket-interpolated estimates clamped to [min, max].
+        // Exact order statistics of the raw samples; no bucket estimates.
         let bench0 = parsed.get("benches").and_then(Json::as_arr).unwrap()[0].clone();
-        let p50 = bench0.get("p50_ns").and_then(Json::as_u64).unwrap();
-        let p99 = bench0.get("p99_ns").and_then(Json::as_u64).unwrap();
-        assert!((10..=30).contains(&p50));
-        assert!(p50 <= p99 && p99 <= 30);
+        for (key, want) in [("median_ns", 20), ("min_ns", 10), ("max_ns", 30)] {
+            assert_eq!(bench0.get(key).and_then(Json::as_u64), Some(want), "{key}");
+        }
+        assert!(bench0.get("p50_ns").is_none());
         let phase0 = parsed.get("phases").and_then(Json::as_arr).unwrap()[0].clone();
         assert_eq!(
             phase0.get("name").and_then(Json::as_str),
@@ -377,14 +362,7 @@ mod tests {
             ("ladder_mask_build/ladder_kernel", 100),
             ("nn/classify_per_sample", 100),
         ] {
-            old.record(Measurement {
-                name: name.into(),
-                ops_per_sample: 1,
-                samples_ns: vec![ns],
-                median_ns: ns,
-                min_ns: ns,
-                max_ns: ns,
-            });
+            old.record(Measurement::from_samples(name, 1, vec![ns]));
         }
         let baseline = Json::parse(&old.to_json_string()).unwrap();
 
@@ -395,14 +373,7 @@ mod tests {
             ("nn/classify_per_sample", 900),          // unwatched: ignored
             ("ladder_mask_build/brand_new", 999),     // no baseline: skipped
         ] {
-            new.record(Measurement {
-                name: name.into(),
-                ops_per_sample: 1,
-                samples_ns: vec![ns],
-                median_ns: ns,
-                min_ns: ns,
-                max_ns: ns,
-            });
+            new.record(Measurement::from_samples(name, 1, vec![ns]));
         }
         let watch = ["mask_build", "ladder_mask_build"];
         let regressions = compare_to_baseline(&new, &baseline, 20.0, &watch).unwrap();

@@ -40,7 +40,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use uvf_accel::{LayerFaults, MappedNetwork, Placement};
-use uvf_bench::{bench, compare_to_baseline, median_ns, BenchOptions, Measurement, Suite};
+use uvf_bench::{bench, compare_to_baseline, BenchOptions, Measurement, Suite};
 use uvf_characterize::parallel::platform_fault_count;
 use uvf_characterize::platform_level_counts;
 use uvf_characterize::prelude::{
@@ -616,17 +616,10 @@ fn bench_ecc_decode(suite: &mut Suite, opts: &BenchOptions) {
         ratios.push(dec as f64 / raw.max(1) as f64);
     }
     for (name, ops, samples) in [
-        ("ecc_decode/raw_corrupt_read", raw_ops, &raw_ns),
-        ("ecc_decode/secded_decode", ecc_ops, &decode_ns),
+        ("ecc_decode/raw_corrupt_read", raw_ops, raw_ns),
+        ("ecc_decode/secded_decode", ecc_ops, decode_ns),
     ] {
-        let m = Measurement {
-            name: name.to_string(),
-            ops_per_sample: ops,
-            samples_ns: samples.clone(),
-            median_ns: median_ns(samples),
-            min_ns: *samples.iter().min().expect("nonempty"),
-            max_ns: *samples.iter().max().expect("nonempty"),
-        };
+        let m = Measurement::from_samples(name, ops, samples);
         print_measurement(suite.record(m));
     }
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
@@ -697,17 +690,10 @@ fn bench_traced_overhead(suite: &mut Suite, opts: &BenchOptions) {
         ratios.push(tr as f64 / un.max(1) as f64);
     }
     for (name, samples) in [
-        ("traced_overhead/bulk_corruption_untraced", &untraced_ns),
-        ("traced_overhead/bulk_corruption_traced", &traced_ns),
+        ("traced_overhead/bulk_corruption_untraced", untraced_ns),
+        ("traced_overhead/bulk_corruption_traced", traced_ns),
     ] {
-        let m = Measurement {
-            name: name.to_string(),
-            ops_per_sample: ops,
-            samples_ns: samples.clone(),
-            median_ns: median_ns(samples),
-            min_ns: *samples.iter().min().expect("nonempty"),
-            max_ns: *samples.iter().max().expect("nonempty"),
-        };
+        let m = Measurement::from_samples(name, ops, samples);
         print_measurement(suite.record(m));
     }
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
@@ -798,17 +784,10 @@ fn bench_subscribe_overhead(suite: &mut Suite, opts: &BenchOptions) {
         ratios.push(wa as f64 / un.max(1) as f64);
     }
     for (name, samples) in [
-        ("serve_subscribe/campaign_unwatched", &unwatched_ns),
-        ("serve_subscribe/campaign_watched", &watched_ns),
+        ("serve_subscribe/campaign_unwatched", unwatched_ns),
+        ("serve_subscribe/campaign_watched", watched_ns),
     ] {
-        let m = Measurement {
-            name: name.to_string(),
-            ops_per_sample: jobs.len() as u64,
-            samples_ns: samples.clone(),
-            median_ns: median_ns(samples),
-            min_ns: *samples.iter().min().expect("nonempty"),
-            max_ns: *samples.iter().max().expect("nonempty"),
-        };
+        let m = Measurement::from_samples(name, jobs.len() as u64, samples);
         print_measurement(suite.record(m));
     }
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));

@@ -92,17 +92,6 @@ pub fn discover(
     Ok((GuardbandReport::from_record(&record), record))
 }
 
-/// Discover the `rail` guardband on all four Table-I platforms.
-pub fn discover_all(rail: Rail, runs_per_level: u32) -> Result<Vec<GuardbandReport>, HarnessError> {
-    PlatformKind::ALL
-        .into_iter()
-        .map(|kind| {
-            let cfg = SweepConfig::quick(rail, runs_per_level);
-            discover(kind, cfg, RecoveryPolicy::default()).map(|(report, _)| report)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,7 +48,7 @@ pub use uvf_trace::json;
 pub use backoff::Backoff;
 pub use cache::FvmCache;
 pub use campaign::{Campaign, CampaignEntry, CampaignJob, CampaignManifest, ManifestEntry};
-pub use guardband::{discover, discover_all, GuardbandReport};
+pub use guardband::{discover, GuardbandReport};
 pub use harness::{Harness, HarnessError, HarnessStatus, RecoveryPolicy, SimClock, MS_PER_RUN};
 pub use json::{Json, JsonError};
 pub use parallel::{available_threads, platform_level_counts};
@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::campaign::{
         Campaign, CampaignEntry, CampaignJob, CampaignManifest, ManifestEntry,
     };
-    pub use crate::guardband::{discover, discover_all, GuardbandReport};
+    pub use crate::guardband::{discover, GuardbandReport};
     pub use crate::harness::{Harness, HarnessError, HarnessStatus, RecoveryPolicy};
     pub use crate::json::Json;
     pub use crate::parallel::available_threads;

@@ -439,11 +439,12 @@ impl Checkpoint {
         })
     }
 
-    /// Atomic write: temp file + fsync + rename, so neither a process
-    /// crash mid-write nor a host crash right after the rename can leave
-    /// a torn checkpoint behind.
+    /// Atomic write ([`uvf_trace::write_atomic`]: temp file + fsync +
+    /// rename), so neither a process crash mid-write nor a host crash
+    /// right after the rename can leave a torn checkpoint behind.
     pub fn save(&self, path: &Path) -> Result<(), RecordError> {
-        write_atomic(path, &self.to_json_string())
+        uvf_trace::write_atomic(path, self.to_json_string().as_bytes())
+            .map_err(|e| io_err(path, &e))
     }
 
     pub fn load(path: &Path) -> Result<Checkpoint, RecordError> {
@@ -550,35 +551,14 @@ impl FvmRecord {
 
     /// Atomic write, same discipline as [`Checkpoint::save`].
     pub fn save(&self, path: &Path) -> Result<(), RecordError> {
-        write_atomic(path, &self.to_json_string())
+        uvf_trace::write_atomic(path, self.to_json_string().as_bytes())
+            .map_err(|e| io_err(path, &e))
     }
 
     pub fn load(path: &Path) -> Result<FvmRecord, RecordError> {
         let text = fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
         FvmRecord::parse(&text)
     }
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-/// The atomic-persist primitive behind every checkpoint/record save:
-/// write a temp file, **fsync it**, then rename over the target. The
-/// fsync matters — without it a host crash can replay the rename before
-/// the data blocks hit disk, leaving a truncated file at the *final*
-/// path where the fingerprint guard would be the only (lucky) defense.
-fn write_atomic(path: &Path, text: &str) -> Result<(), RecordError> {
-    use std::io::Write;
-    let tmp = tmp_path(path);
-    let mut file = fs::File::create(&tmp).map_err(|e| io_err(&tmp, &e))?;
-    file.write_all(text.as_bytes())
-        .and_then(|()| file.sync_all())
-        .map_err(|e| io_err(&tmp, &e))?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|e| io_err(path, &e))
 }
 
 /// Errors of record/checkpoint (de)serialization.
@@ -664,6 +644,7 @@ pub fn req_u32(v: &Json, key: &str) -> Result<u32, RecordError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uvf_trace::tmp_path;
 
     fn sample_record() -> SweepRecord {
         SweepRecord {

@@ -75,7 +75,6 @@ impl VminSearchReport {
 pub struct VminSearch {
     kind: PlatformKind,
     cfg: SweepConfig,
-    policy: RecoveryPolicy,
     chip_seed: Option<u64>,
     checkpoint_dir: Option<PathBuf>,
     tracer: Tracer,
@@ -89,7 +88,6 @@ impl VminSearch {
         VminSearch {
             kind,
             cfg,
-            policy: RecoveryPolicy::default(),
             chip_seed: None,
             checkpoint_dir: None,
             tracer: Tracer::disabled(),
@@ -99,12 +97,6 @@ impl VminSearch {
     #[must_use]
     pub fn with_chip_seed(mut self, chip_seed: u64) -> VminSearch {
         self.chip_seed = Some(chip_seed);
-        self
-    }
-
-    #[must_use]
-    pub fn with_policy(mut self, policy: RecoveryPolicy) -> VminSearch {
-        self.policy = policy;
         self
     }
 
@@ -207,7 +199,8 @@ impl VminSearch {
         let platform = self.kind.descriptor();
         let chip_seed = self.chip_seed.unwrap_or(platform.default_chip_seed);
         let board = Board::with_chip_seed(platform, chip_seed);
-        let mut harness = Harness::new(board, cfg, self.policy)?.with_tracer(self.tracer.clone());
+        let mut harness =
+            Harness::new(board, cfg, RecoveryPolicy::default())?.with_tracer(self.tracer.clone());
         if let Some(dir) = &self.checkpoint_dir {
             std::fs::create_dir_all(dir).map_err(|e| {
                 HarnessError::Config(format!("checkpoint dir {}: {e}", dir.display()))

@@ -1,5 +1,5 @@
 //! Server-side observability plane: fleet metric aggregation, per-worker
-//! flight recorders, and the bounded per-subscriber queues behind the
+//! crash tails, and the bounded per-subscriber queues behind the
 //! `Subscribe`/`EventBatch` protocol.
 //!
 //! Everything here is **passive**: the observatory watches the streams
@@ -8,75 +8,76 @@
 //! subscriber loses events (accounted in `subscriber_lagged`), never
 //! stalls the queue.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use uvf_trace::{Aggregator, Event, FlightRecorder};
+use uvf_trace::{Event, MemorySink, PrometheusSink};
 
-/// The server's metrics brain: one [`Aggregator`] holding both the
+/// The server's metrics brain: one [`PrometheusSink`] holding both the
 /// fleet-merged worker series and the server-level series
 /// (`jobs_*`, `lease_renewals`, `worker_liveness`, queue-wait and
-/// job-duration histograms), plus one bounded [`FlightRecorder`] per
-/// worker for crash forensics.
+/// job-duration histograms), plus one bounded [`MemorySink`] per worker
+/// as its crash tail.
 pub struct Observatory {
-    agg: Aggregator,
-    recorders: Mutex<BTreeMap<u64, Arc<FlightRecorder>>>,
-    recorder_cap: usize,
+    metrics: PrometheusSink,
+    tails: Mutex<BTreeMap<u64, Arc<MemorySink>>>,
+    tail_cap: usize,
     /// Where `crash_tail_worker<id>.jsonl` dumps land; `None` disables
     /// dumping (the in-memory tail still accumulates).
     crash_dir: Option<PathBuf>,
 }
 
 impl Observatory {
-    pub(crate) fn new(recorder_cap: usize, crash_dir: Option<PathBuf>) -> Observatory {
+    pub(crate) fn new(tail_cap: usize, crash_dir: Option<PathBuf>) -> Observatory {
         Observatory {
-            agg: Aggregator::new(),
-            recorders: Mutex::new(BTreeMap::new()),
-            recorder_cap: recorder_cap.max(1),
+            metrics: PrometheusSink::new(),
+            tails: Mutex::new(BTreeMap::new()),
+            tail_cap,
             crash_dir,
         }
     }
 
-    /// The underlying aggregator (server series are added through it).
+    /// The underlying metric store (server series are added through it).
     #[must_use]
-    pub fn aggregator(&self) -> &Aggregator {
-        &self.agg
+    pub fn metrics(&self) -> &PrometheusSink {
+        &self.metrics
     }
 
-    fn recorder(&self, worker: u64) -> Arc<FlightRecorder> {
+    fn tail(&self, worker: u64) -> Arc<MemorySink> {
         Arc::clone(
-            self.recorders
+            self.tails
                 .lock()
                 .expect("observatory poisoned")
                 .entry(worker)
-                .or_insert_with(|| Arc::new(FlightRecorder::new(self.recorder_cap))),
+                .or_insert_with(|| Arc::new(MemorySink::new(self.tail_cap))),
         )
     }
 
     /// Fold one event a worker streamed in: fleet aggregation plus that
-    /// worker's flight-recorder ring.
+    /// worker's crash-tail ring. Workers never forward `Timing` events,
+    /// so the tail is a verbatim suffix of the worker's JSONL log.
     pub(crate) fn worker_event(&self, worker: u64, event: &Event) {
-        self.agg.record(worker, event);
+        self.metrics.record(worker, event);
         use uvf_trace::Sink as _;
-        self.recorder(worker).record(event);
+        self.tail(worker).record(event);
     }
 
     /// Mark `worker` alive (`uvf_worker_liveness{worker="N"} 1`).
     pub(crate) fn worker_alive(&self, worker: u64) {
-        self.agg.set_worker_gauge("worker_liveness", worker, 1);
+        self.metrics.set_worker_gauge("worker_liveness", worker, 1);
     }
 
-    /// Mark `worker` dead and dump its flight-recorder tail to
+    /// Mark `worker` dead and dump its crash tail to
     /// `crash_tail_worker<id>.jsonl` under the crash dir. Dumping is
     /// best-effort forensics; failures are swallowed by design.
     pub(crate) fn worker_dead(&self, worker: u64) {
-        self.agg.set_worker_gauge("worker_liveness", worker, 0);
+        self.metrics.set_worker_gauge("worker_liveness", worker, 0);
         if let Some(dir) = &self.crash_dir {
-            let recorder = self.recorder(worker);
-            if !recorder.is_empty() {
+            let tail = self.tail(worker);
+            if !tail.is_empty() {
                 let _ = std::fs::create_dir_all(dir);
-                let _ = recorder.dump(dir.join(format!("crash_tail_worker{worker}.jsonl")));
+                let _ = tail.dump(dir.join(format!("crash_tail_worker{worker}.jsonl")));
             }
         }
     }
@@ -84,59 +85,27 @@ impl Observatory {
     /// Render the combined fleet + server exposition.
     #[must_use]
     pub fn render(&self) -> String {
-        self.agg.render()
+        self.metrics.render()
     }
 }
 
-struct SubscriberBuf {
-    buf: VecDeque<Event>,
-    /// Cumulative events dropped because the queue overflowed.
-    dropped: u64,
-}
-
-/// One subscriber's bounded event queue. The publisher (the server, under
-/// its state lock) pushes whole blocks; the subscriber's writer thread
-/// drains batches at its own pace. Overflow evicts the *oldest* events —
-/// the stream keeps up with the present and the gap is accounted — so a
-/// throttled observer can never apply backpressure to the campaign.
+/// One subscriber: a bounded drop-oldest [`MemorySink`] queue plus a
+/// `closed` flag. The publisher (the server, under its state lock) pushes
+/// whole blocks; the subscriber's writer thread drains batches at its own
+/// pace. Overflow evicts the *oldest* events — the stream keeps up with
+/// the present and the gap is accounted — so a throttled observer can
+/// never apply backpressure to the campaign.
 pub(crate) struct Subscriber {
-    cap: usize,
-    state: Mutex<SubscriberBuf>,
+    pub(crate) queue: MemorySink,
     closed: AtomicBool,
 }
 
 impl Subscriber {
     pub(crate) fn new(cap: usize) -> Subscriber {
         Subscriber {
-            cap: cap.max(1),
-            state: Mutex::new(SubscriberBuf {
-                buf: VecDeque::new(),
-                dropped: 0,
-            }),
+            queue: MemorySink::new(cap),
             closed: AtomicBool::new(false),
         }
-    }
-
-    /// Append a block of published events, evicting from the front when
-    /// the bound is exceeded. Returns how many events were dropped *by
-    /// this push* (0 for a keeping-up subscriber).
-    pub(crate) fn push_block(&self, events: &[Event]) -> u64 {
-        let mut state = self.state.lock().expect("subscriber poisoned");
-        state.buf.extend(events.iter().cloned());
-        let mut newly_dropped = 0u64;
-        while state.buf.len() > self.cap {
-            state.buf.pop_front();
-            newly_dropped += 1;
-        }
-        state.dropped += newly_dropped;
-        newly_dropped
-    }
-
-    /// Take up to `max` queued events plus the cumulative drop count.
-    pub(crate) fn pop_batch(&self, max: usize) -> (Vec<Event>, u64) {
-        let mut state = self.state.lock().expect("subscriber poisoned");
-        let take = state.buf.len().min(max);
-        (state.buf.drain(..take).collect(), state.dropped)
     }
 
     pub(crate) fn close(&self) {
@@ -186,10 +155,10 @@ mod tests {
     #[test]
     fn subscriber_queue_bounds_and_accounts_drops() {
         let sub = Subscriber::new(3);
-        assert_eq!(sub.push_block(&[ev(0), ev(1)]), 0);
+        assert_eq!(sub.queue.push_block(&[ev(0), ev(1)]), 0);
         // Five queued against a cap of three: the two oldest go.
-        assert_eq!(sub.push_block(&[ev(2), ev(3), ev(4)]), 2);
-        let (batch, dropped) = sub.pop_batch(10);
+        assert_eq!(sub.queue.push_block(&[ev(2), ev(3), ev(4)]), 2);
+        let (batch, dropped) = sub.queue.drain_up_to(10);
         assert_eq!(dropped, 2);
         assert_eq!(
             batch.iter().map(|e| e.seq).collect::<Vec<_>>(),
@@ -197,8 +166,8 @@ mod tests {
             "the queue keeps the newest events"
         );
         // Drop accounting is cumulative across pushes.
-        assert_eq!(sub.push_block(&[ev(5), ev(6), ev(7), ev(8)]), 1);
-        let (_, dropped) = sub.pop_batch(10);
+        assert_eq!(sub.queue.push_block(&[ev(5), ev(6), ev(7), ev(8)]), 1);
+        let (_, dropped) = sub.queue.drain_up_to(10);
         assert_eq!(dropped, 3);
     }
 
@@ -206,9 +175,9 @@ mod tests {
     fn pop_batch_respects_max_and_preserves_order() {
         let sub = Subscriber::new(100);
         let events: Vec<Event> = (0..10).map(ev).collect();
-        sub.push_block(&events);
-        let (first, _) = sub.pop_batch(4);
-        let (rest, _) = sub.pop_batch(100);
+        sub.queue.push_block(&events);
+        let (first, _) = sub.queue.drain_up_to(4);
+        let (rest, _) = sub.queue.drain_up_to(100);
         let seqs: Vec<u64> = first.iter().chain(&rest).map(|e| e.seq).collect();
         assert_eq!(seqs, (0..10).collect::<Vec<_>>());
     }
@@ -228,7 +197,7 @@ mod tests {
         assert_eq!(text.lines().count(), 4, "bounded to the ring capacity");
         assert!(text.lines().all(|l| l.starts_with('{')));
         assert_eq!(
-            obs.aggregator().gauge("worker_liveness").get(&Some(9)),
+            obs.metrics().gauge("worker_liveness").get(&Some(9)),
             Some(&0)
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -94,7 +94,7 @@ pub struct ServerConfig {
     /// Default per-subscriber queue bound, in events. Generous by
     /// default so a keeping-up subscriber records the complete log.
     pub subscriber_queue_cap: usize,
-    /// Per-worker flight-recorder ring size, in events.
+    /// Per-worker crash-tail ring size, in events.
     pub flight_recorder_cap: usize,
 }
 
@@ -193,7 +193,7 @@ struct State {
     permanent: Vec<Option<String>>,
     workers_seen: HashSet<u64>,
     max_assignments: u32,
-    /// Metrics + flight recorders (internally locked; safe to poke while
+    /// Metrics + crash tails (internally locked; safe to poke while
     /// holding the state lock, never the other way around).
     obs: Arc<Observatory>,
     /// The live merged log: jobs `0..published_jobs` renumbered exactly
@@ -239,7 +239,7 @@ impl State {
         if released.is_empty() {
             // Clean exit (campaign over, nothing held): just the gauge.
             self.obs
-                .aggregator()
+                .metrics()
                 .set_worker_gauge("worker_liveness", worker, 0);
         } else {
             // Died holding work: dump the flight tail for post-mortem.
@@ -293,10 +293,10 @@ impl State {
             }
             let mut lagged = 0u64;
             for sub in &self.subscribers {
-                lagged += sub.push_block(&block);
+                lagged += sub.queue.push_block(&block);
             }
             if lagged > 0 {
-                self.obs.aggregator().add("subscriber_lagged", lagged);
+                self.obs.metrics().add("subscriber_lagged", lagged);
             }
             self.published.extend(block);
         }
@@ -328,7 +328,7 @@ impl CampaignServer {
         ));
         // Touch every server-level counter so the families exist in the
         // very first scrape, not only after the first increment.
-        let agg = obs.aggregator();
+        let agg = obs.metrics();
         agg.add("jobs_queued", n as u64);
         for name in [
             "jobs_leased",
@@ -352,9 +352,9 @@ impl CampaignServer {
                     let cache = FvmCache::global();
                     let (models, maps) = cache.sizes();
                     let (model_cap, map_cap) = cache.capacities();
-                    obs.aggregator()
+                    obs.metrics()
                         .set_gauge("fvm_cache_size", (models + maps) as u64);
-                    obs.aggregator()
+                    obs.metrics()
                         .set_gauge("fvm_cache_capacity", (model_cap + map_cap) as u64);
                     obs.render()
                 });
@@ -424,7 +424,7 @@ impl ServerHandle {
         self.metrics_addr
     }
 
-    /// The server's metrics plane (fleet aggregation, flight recorders).
+    /// The server's metrics plane (fleet aggregation, crash tails).
     #[must_use]
     pub fn observatory(&self) -> &Observatory {
         &self.obs
@@ -655,9 +655,9 @@ fn register_subscriber(
         .filter(|e| e.seq >= from_seq)
         .cloned()
         .collect();
-    let lagged = sub.push_block(&backlog);
+    let lagged = sub.queue.push_block(&backlog);
     if lagged > 0 {
-        state.obs.aggregator().add("subscriber_lagged", lagged);
+        state.obs.metrics().add("subscriber_lagged", lagged);
     }
     state.subscribers.push(Arc::clone(&sub));
     sub
@@ -675,7 +675,7 @@ fn run_subscriber_writer(mut writer: Box<dyn Write + Send>, sub: &Arc<Subscriber
         // the flag flip, so finished + empty pop ⇒ the log was fully
         // delivered (no push can land in between).
         let finished = flags.finished.load(Ordering::SeqCst);
-        let (events, dropped) = sub.pop_batch(BATCH_EVENTS);
+        let (events, dropped) = sub.queue.drain_up_to(BATCH_EVENTS);
         if events.is_empty() {
             if finished {
                 let _ = Message::EventBatch {
@@ -732,7 +732,7 @@ fn handle_message(
             match state.queue.claim(*worker, now) {
                 None => Some(Message::NoJob { done: false }),
                 Some((job, spec)) => {
-                    let agg = state.obs.aggregator();
+                    let agg = state.obs.metrics();
                     agg.add("jobs_leased", 1);
                     agg.observe_ns(
                         "queue_wait",
@@ -774,7 +774,7 @@ fn handle_message(
             let worker = (*worker_id)?;
             let parsed = Event::parse_jsonl(line).ok();
             if let Some(event) = &parsed {
-                // Fleet metrics and the flight recorder see everything
+                // Fleet metrics and the crash tail see everything
                 // the worker says, zombie or not — forensics wants the
                 // last words, and fleet counters tolerate double counts
                 // from at most one lapsed-lease straggler.
@@ -791,7 +791,7 @@ fn handle_message(
                 // alive however long the sweep takes; only silence (a
                 // hang) lets the deadline lapse.
                 state.queue.renew(*job, worker, now_ms(started));
-                state.obs.aggregator().add("lease_renewals", 1);
+                state.obs.metrics().add("lease_renewals", 1);
                 if let Some(event) = parsed {
                     if let Some(segment) = state.segments[*job].last_mut() {
                         segment.push(event);
@@ -814,7 +814,7 @@ fn handle_message(
                         let now = now_ms(started);
                         state.results[*job] = Some((parsed, *sim_ms));
                         state.queue.complete(*job);
-                        let agg = state.obs.aggregator();
+                        let agg = state.obs.metrics();
                         agg.add("jobs_done", 1);
                         agg.observe_ns(
                             "job_duration",
@@ -890,7 +890,7 @@ fn fail_job(state: &mut State, job: usize, error: &str, now_ms: u64) {
     if attempts >= state.max_assignments {
         state.permanent[job] = Some(error.to_string());
         state.queue.complete(job);
-        state.obs.aggregator().add("jobs_failed", 1);
+        state.obs.metrics().add("jobs_failed", 1);
         state.inject(
             job,
             "job_failed",

@@ -2,10 +2,9 @@
 //!
 //! Buckets are powers of two from 128 ns up to ~4.8 hours — fixed at
 //! compile time so two histograms are always mergeable and the Prometheus
-//! exposition never needs to negotiate boundaries. Quantiles are
-//! bucket-interpolated estimates clamped to the exact observed `[min, max]`
-//! range, which keeps tiny sample sets honest (p99 of 5 samples is the
-//! max, not an extrapolation past it).
+//! exposition never needs to negotiate boundaries. The histogram keeps
+//! counts and a sum only; read percentiles off the exported `le` buckets,
+//! and take exact order statistics from the raw samples where they exist.
 
 /// Number of finite buckets; upper bound of bucket `i` is `2^(7+i)` ns.
 pub const BUCKET_COUNT: usize = 38;
@@ -25,8 +24,6 @@ pub struct Histogram {
     overflow: u64,
     count: u64,
     sum_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
 }
 
 impl Default for Histogram {
@@ -43,19 +40,7 @@ impl Histogram {
             overflow: 0,
             count: 0,
             sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
         }
-    }
-
-    /// Build from a slice of samples (convenience for the bench suite).
-    #[must_use]
-    pub fn from_samples(samples_ns: &[u64]) -> Histogram {
-        let mut h = Histogram::new();
-        for &s in samples_ns {
-            h.record(s);
-        }
-        h
     }
 
     pub fn record(&mut self, ns: u64) {
@@ -70,8 +55,6 @@ impl Histogram {
         }
         self.count += 1;
         self.sum_ns = self.sum_ns.saturating_add(ns);
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
     }
 
     /// Fold `other` into `self` (bucket-wise; boundaries are fixed, so the
@@ -83,8 +66,6 @@ impl Histogram {
         self.overflow += other.overflow;
         self.count += other.count;
         self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
     }
 
     #[must_use]
@@ -102,20 +83,6 @@ impl Histogram {
         self.sum_ns
     }
 
-    #[must_use]
-    pub fn min_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min_ns
-        }
-    }
-
-    #[must_use]
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
     /// Cumulative count at each finite bucket boundary plus the overflow
     /// tally, in Prometheus `le` order (for exposition rendering).
     #[must_use]
@@ -128,90 +95,38 @@ impl Histogram {
         }
         (cum, self.count)
     }
-
-    /// Bucket-interpolated quantile estimate (`q` in `[0, 1]`), clamped to
-    /// the observed range. Returns 0 on an empty histogram.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        if q == 0.0 {
-            return self.min_ns();
-        }
-        // Rank of the target observation, 1-based.
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c >= target {
-                let lower = if i == 0 { 0 } else { bucket_upper_ns(i - 1) };
-                let upper = bucket_upper_ns(i);
-                let frac = (target - seen) as f64 / c as f64;
-                let est = lower as f64 + frac * (upper - lower) as f64;
-                return (est as u64).clamp(self.min_ns(), self.max_ns);
-            }
-            seen += c;
-        }
-        // Target lives in the overflow bucket: all we know is the max.
-        self.max_ns
-    }
-
-    #[must_use]
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    #[must_use]
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
-    #[must_use]
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn quantiles_are_ordered_and_clamped() {
+    fn of(samples_ns: &[u64]) -> Histogram {
         let mut h = Histogram::new();
-        for ns in [100u64, 200, 300, 400, 500, 10_000, 20_000] {
+        for &ns in samples_ns {
             h.record(ns);
         }
-        assert_eq!(h.count(), 7);
-        assert!(h.p50() <= h.p95() && h.p95() <= h.p99());
-        assert!(h.p99() <= h.max_ns(), "clamped to the observed max");
-        assert!(h.p50() >= h.min_ns());
-        assert_eq!(h.quantile(0.0), h.min_ns());
-        assert_eq!(h.quantile(1.0), h.max_ns());
+        h
     }
 
     #[test]
     fn empty_histogram_is_harmless() {
         let h = Histogram::new();
         assert!(h.is_empty());
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.min_ns(), 0);
-        assert_eq!(h.max_ns(), 0);
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.sum_ns(), 0);
+        assert_eq!(h.cumulative(), ([0; BUCKET_COUNT], 0));
     }
 
     #[test]
     fn merge_equals_recording_everything_in_one() {
         let xs = [150u64, 90, 4_000, 77_000, 1 << 50];
         let ys = [300u64, 300, 128];
-        let mut a = Histogram::from_samples(&xs);
-        let b = Histogram::from_samples(&ys);
+        let mut a = of(&xs);
+        let b = of(&ys);
         a.merge(&b);
         let all: Vec<u64> = xs.iter().chain(ys.iter()).copied().collect();
-        assert_eq!(a, Histogram::from_samples(&all));
+        assert_eq!(a, of(&all));
         assert_eq!(a.count(), 8);
     }
 
@@ -223,14 +138,6 @@ mod tests {
         let (cum, total) = h.cumulative();
         assert_eq!(cum[BUCKET_COUNT - 1], 0, "no finite bucket saw it");
         assert_eq!(total, 1);
-        assert_eq!(h.quantile(0.5), huge, "overflow quantile reports max");
-    }
-
-    #[test]
-    fn single_sample_every_quantile_is_that_sample() {
-        let h = Histogram::from_samples(&[777]);
-        for q in [0.0, 0.25, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 777);
-        }
+        assert_eq!(h.sum_ns(), huge);
     }
 }

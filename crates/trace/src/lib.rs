@@ -22,23 +22,24 @@
 //!
 //! * [`Tracer`] / [`Span`] — the emitting handle and its RAII scoped
 //!   timer; spans nest per-thread.
-//! * [`Histogram`] — fixed power-of-two buckets (128 ns …), exact
-//!   min/max/sum, interpolated p50/p95/p99.
+//! * [`Histogram`] — fixed power-of-two buckets (128 ns …) with a count
+//!   and an exact sum; percentiles are read off its exported buckets.
 //! * [`Sink`] implementations: [`JsonlSink`] (byte-stable event log),
-//!   [`PrometheusSink`] (text exposition snapshot), [`MemorySink`]
-//!   (bounded ring buffer).
-//! * [`Aggregator`] / [`FlightRecorder`] — fleet-wide metric merge
-//!   (counters summed, histograms bucket-merged, gauges per worker) and
-//!   the bounded crash-tail ring the campaign server dumps when a
-//!   worker dies.
+//!   [`PrometheusSink`] (the one metric store and text exposition:
+//!   counters summed, histograms bucket-merged, gauges unlabeled or per
+//!   worker — it is also the campaign server's fleet `/metrics`), and
+//!   [`MemorySink`] (the one bounded drop-oldest ring: live progress,
+//!   crash tails, subscriber queues).
 //! * [`Manifest`] — the per-run metadata document the `repro` binary
 //!   writes next to each figure/table.
+//! * [`write_atomic`] — temp file, fsync, rename: how every persisted
+//!   document of the workspace is saved.
 //! * [`json`] — the byte-stable JSON value tree shared by the whole
 //!   workspace (grew up in `uvf-characterize`, which re-exports it).
 
 #![deny(deprecated)]
 
-pub mod aggregate;
+pub mod atomic;
 pub mod event;
 pub mod histogram;
 pub mod json;
@@ -47,7 +48,7 @@ pub mod merge;
 pub mod sink;
 pub mod tracer;
 
-pub use aggregate::{Aggregator, FlightRecorder};
+pub use atomic::{tmp_path, write_atomic};
 pub use event::{Event, EventKind, Value};
 pub use histogram::{bucket_upper_ns, Histogram, BUCKET_COUNT};
 pub use json::{Json, JsonError};

@@ -5,7 +5,6 @@
 use crate::event::{Event, EventKind};
 use crate::json::{Json, JsonError};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::Path;
 
 /// Wall time attributed to one top-level phase of a run.
@@ -157,18 +156,13 @@ impl Manifest {
         })
     }
 
-    /// Write the manifest atomically (temp file + rename), matching the
-    /// checkpoint-durability convention of the sweep stack.
+    /// Write the manifest with [`crate::write_atomic`], the durability
+    /// convention of the sweep checkpoints.
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("manifest.tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(self.to_json_string().as_bytes())?;
-            file.write_all(b"\n")?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        crate::write_atomic(
+            path.as_ref(),
+            format!("{}\n", self.to_json_string()).as_bytes(),
+        )
     }
 
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<Manifest> {

@@ -6,10 +6,12 @@
 //! * [`JsonlSink`] — append-only structured event log. Serializes only the
 //!   deterministic core of each event (see [`crate::Event`]), so a traced
 //!   sweep produces a byte-identical log on every rerun.
-//! * [`PrometheusSink`] — in-memory aggregation of counters and latency
-//!   histograms, rendered as Prometheus text exposition on demand.
-//! * [`MemorySink`] — bounded ring buffer of recent events, for tests and
-//!   for the `repro` binary's live progress rendering.
+//! * [`PrometheusSink`] — in-memory aggregation of counters, gauges and
+//!   latency histograms, rendered as Prometheus text exposition on
+//!   demand. It is also the campaign server's fleet metric store.
+//! * [`MemorySink`] — bounded drop-oldest ring of recent events: live
+//!   progress in `repro`, per-worker crash tails and per-subscriber
+//!   queues in the campaign server.
 
 use crate::event::{Event, EventKind};
 use crate::histogram::{bucket_upper_ns, Histogram};
@@ -72,76 +74,167 @@ impl Sink for JsonlSink {
     }
 }
 
-/// Bounded in-memory ring buffer of events (oldest evicted first).
+/// Bounded in-memory ring of events: when full, the oldest event is
+/// evicted and counted as dropped.
+///
+/// The one ring of the workspace: tests and the `repro` binary's live
+/// progress read it as a [`Sink`]; the campaign server keeps one per
+/// worker as a crash tail ([`MemorySink::dump`]) and one per subscriber
+/// as its drop-oldest queue ([`MemorySink::push_block`] /
+/// [`MemorySink::drain_up_to`]).
 pub struct MemorySink {
     capacity: usize,
-    buf: Mutex<VecDeque<Event>>,
-    dropped: Mutex<u64>,
+    ring: Mutex<Ring>,
+}
+
+#[derive(Default)]
+struct Ring {
+    buf: VecDeque<Event>,
+    /// Cumulative events evicted to honour the capacity bound.
+    dropped: u64,
 }
 
 impl MemorySink {
+    /// A ring keeping the last `capacity` events (min 1).
     #[must_use]
     pub fn new(capacity: usize) -> MemorySink {
         MemorySink {
             capacity: capacity.max(1),
-            buf: Mutex::new(VecDeque::new()),
-            dropped: Mutex::new(0),
+            ring: Mutex::new(Ring::default()),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Ring> {
+        self.ring.lock().expect("memory sink poisoned")
     }
 
     /// Snapshot of the buffered events, oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        self.buf
-            .lock()
-            .expect("memory sink poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        self.lock().buf.iter().cloned().collect()
+    }
+
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.lock().buf.is_empty()
     }
 
     /// How many events were evicted to honour the capacity bound.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        *self.dropped.lock().expect("memory sink poisoned")
+        self.lock().dropped
     }
 
     /// Remove and return all buffered events, oldest first.
     #[must_use]
     pub fn drain(&self) -> Vec<Event> {
-        self.buf
-            .lock()
-            .expect("memory sink poisoned")
-            .drain(..)
-            .collect()
+        self.lock().buf.drain(..).collect()
+    }
+
+    /// Remove up to `max` buffered events, oldest first, and return them
+    /// with the cumulative drop count.
+    #[must_use]
+    pub fn drain_up_to(&self, max: usize) -> (Vec<Event>, u64) {
+        let mut ring = self.lock();
+        let take = ring.buf.len().min(max);
+        (ring.buf.drain(..take).collect(), ring.dropped)
+    }
+
+    /// Append a block of events, evicting the oldest past the bound.
+    /// Returns how many events *this push* dropped (0 while a reader
+    /// keeps up).
+    pub fn push_block(&self, events: &[Event]) -> u64 {
+        let mut ring = self.lock();
+        ring.buf.extend(events.iter().cloned());
+        let mut newly_dropped = 0u64;
+        while ring.buf.len() > self.capacity {
+            ring.buf.pop_front();
+            newly_dropped += 1;
+        }
+        ring.dropped += newly_dropped;
+        newly_dropped
+    }
+
+    /// Write the buffered events to `path` as JSONL (truncating), in the
+    /// [`JsonlSink`] line format, returning how many were written.
+    pub fn dump(&self, path: impl AsRef<Path>) -> std::io::Result<usize> {
+        let events = self.events();
+        let mut text = String::new();
+        for event in &events {
+            text.push_str(&event.to_jsonl());
+            text.push('\n');
+        }
+        std::fs::write(path, text)?;
+        Ok(events.len())
     }
 }
 
 impl Sink for MemorySink {
     fn record(&self, event: &Event) {
-        let mut buf = self.buf.lock().expect("memory sink poisoned");
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            *self.dropped.lock().expect("memory sink poisoned") += 1;
-        }
-        buf.push_back(event.clone());
+        self.push_block(std::slice::from_ref(event));
     }
 }
+
+/// Gauge owner: `None` is an unlabeled gauge, `Some(w)` a per-worker one
+/// rendered with a `worker="w"` label.
+type GaugeOwner = Option<u64>;
 
 #[derive(Default)]
 struct PromState {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, BTreeMap<GaugeOwner, u64>>,
     histograms: BTreeMap<String, Histogram>,
 }
 
-/// Aggregating metrics sink rendered as Prometheus text exposition.
+impl PromState {
+    fn add(&mut self, name: &str, delta: u64) {
+        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+    }
+
+    fn set_gauge(&mut self, name: &str, owner: GaugeOwner, value: u64) {
+        self.gauges
+            .entry(name.to_string())
+            .or_default()
+            .insert(owner, value);
+    }
+
+    fn observe_ns(&mut self, name: &str, ns: u64) {
+        self.histograms
+            .entry(name.to_string())
+            .or_default()
+            .record(ns);
+    }
+
+    fn fold(&mut self, owner: GaugeOwner, event: &Event) {
+        match event.kind {
+            EventKind::Counter { delta } => self.add(&event.name, delta),
+            EventKind::Gauge { value } => self.set_gauge(&event.name, owner, value),
+            EventKind::SpanEnd => {
+                if let Some(wall_ns) = event.wall_ns {
+                    self.observe_ns(&event.name, wall_ns);
+                }
+            }
+            EventKind::Timing { ns, .. } => self.observe_ns(&event.name, ns),
+            EventKind::SpanStart | EventKind::Instant => {}
+        }
+    }
+}
+
+/// Aggregating metrics store rendered as Prometheus text exposition.
 ///
 /// [`EventKind::Counter`] deltas sum into counters; [`EventKind::Gauge`]
-/// samples overwrite gauges (last value wins); [`EventKind::SpanEnd`]
-/// durations and [`EventKind::Timing`] samples fold into fixed-bucket
-/// histograms keyed by event name. `BTreeMap` keys make the rendered
-/// snapshot's metric order deterministic.
+/// samples overwrite gauges (last value wins, per owner);
+/// [`EventKind::SpanEnd`] durations and [`EventKind::Timing`] samples fold
+/// into fixed-bucket histograms keyed by event name. `BTreeMap` keys make
+/// the rendered snapshot's metric order deterministic.
+///
+/// As a [`Sink`] it files gauges unlabeled. The campaign server also
+/// feeds it worker-tagged events ([`PrometheusSink::record`]), whose
+/// gauges render with a `worker="N"` label, and server-level series
+/// ([`PrometheusSink::add`], [`PrometheusSink::set_gauge`],
+/// [`PrometheusSink::set_worker_gauge`], [`PrometheusSink::observe_ns`]).
+/// Counters and histograms merge across workers exactly: every worker
+/// shares the fixed bucket layout.
 #[derive(Default)]
 pub struct PrometheusSink {
     state: Mutex<PromState>,
@@ -153,51 +246,91 @@ impl PrometheusSink {
         PrometheusSink::default()
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, PromState> {
+        self.state.lock().expect("prom sink poisoned")
+    }
+
+    /// Fold one event from `worker`: like [`Sink::record`], except that a
+    /// gauge is kept per worker and rendered with a `worker="N"` label.
+    pub fn record(&self, worker: u64, event: &Event) {
+        self.lock().fold(Some(worker), event);
+    }
+
+    /// Add `delta` to the counter `name`.
+    pub fn add(&self, name: &str, delta: u64) {
+        self.lock().add(name, delta);
+    }
+
+    /// Set the unlabeled gauge `name`.
+    pub fn set_gauge(&self, name: &str, value: u64) {
+        self.lock().set_gauge(name, None, value);
+    }
+
+    /// Set the per-worker gauge `name{worker="worker"}`.
+    pub fn set_worker_gauge(&self, name: &str, worker: u64, value: u64) {
+        self.lock().set_gauge(name, Some(worker), value);
+    }
+
+    /// Fold one duration sample into the histogram `name`.
+    pub fn observe_ns(&self, name: &str, ns: u64) {
+        self.lock().observe_ns(name, ns);
+    }
+
     /// Current counter totals, by event name.
     #[must_use]
     pub fn counters(&self) -> BTreeMap<String, u64> {
-        self.state
-            .lock()
-            .expect("prom sink poisoned")
-            .counters
-            .clone()
+        self.lock().counters.clone()
     }
 
-    /// Current gauge values, by event name (last recorded value wins).
+    /// Current unlabeled gauge values, by event name (last recorded value
+    /// wins).
     #[must_use]
     pub fn gauges(&self) -> BTreeMap<String, u64> {
-        self.state
-            .lock()
-            .expect("prom sink poisoned")
+        self.lock()
             .gauges
-            .clone()
+            .iter()
+            .filter_map(|(name, by_owner)| Some((name.clone(), *by_owner.get(&None)?)))
+            .collect()
+    }
+
+    /// Every value of the gauge `name`, by owner (`None` = unlabeled).
+    #[must_use]
+    pub fn gauge(&self, name: &str) -> BTreeMap<GaugeOwner, u64> {
+        self.lock().gauges.get(name).cloned().unwrap_or_default()
     }
 
     /// Snapshot of the named histogram, if any samples arrived.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.state
-            .lock()
-            .expect("prom sink poisoned")
-            .histograms
-            .get(name)
-            .cloned()
+        self.lock().histograms.get(name).cloned()
     }
 
-    /// Render the Prometheus text exposition snapshot.
+    /// Render the Prometheus text exposition snapshot: counters as
+    /// `uvf_<name>_total`, gauges as `uvf_<name>` (per-worker samples
+    /// labeled `worker="N"`), histograms as `uvf_<name>_duration_ns`. Each
+    /// family is declared exactly once.
     #[must_use]
     pub fn render(&self) -> String {
-        let state = self.state.lock().expect("prom sink poisoned");
+        let state = self.lock();
         let mut out = String::new();
         for (name, total) in &state.counters {
             let metric = sanitize_metric_name(&format!("uvf_{name}_total"));
             let _ = writeln!(out, "# TYPE {metric} counter");
             let _ = writeln!(out, "{metric} {total}");
         }
-        for (name, value) in &state.gauges {
+        for (name, by_owner) in &state.gauges {
             let metric = sanitize_metric_name(&format!("uvf_{name}"));
             let _ = writeln!(out, "# TYPE {metric} gauge");
-            let _ = writeln!(out, "{metric} {value}");
+            for (owner, value) in by_owner {
+                match owner {
+                    None => {
+                        let _ = writeln!(out, "{metric} {value}");
+                    }
+                    Some(worker) => {
+                        let _ = writeln!(out, "{metric}{{worker=\"{worker}\"}} {value}");
+                    }
+                }
+            }
         }
         for (name, hist) in &state.histograms {
             let metric = sanitize_metric_name(&format!("uvf_{name}_duration_ns"));
@@ -216,32 +349,7 @@ impl PrometheusSink {
 
 impl Sink for PrometheusSink {
     fn record(&self, event: &Event) {
-        let mut state = self.state.lock().expect("prom sink poisoned");
-        match event.kind {
-            EventKind::Counter { delta } => {
-                *state.counters.entry(event.name.to_string()).or_insert(0) += delta;
-            }
-            EventKind::Gauge { value } => {
-                state.gauges.insert(event.name.to_string(), value);
-            }
-            EventKind::SpanEnd => {
-                if let Some(wall_ns) = event.wall_ns {
-                    state
-                        .histograms
-                        .entry(event.name.to_string())
-                        .or_default()
-                        .record(wall_ns);
-                }
-            }
-            EventKind::Timing { ns, .. } => {
-                state
-                    .histograms
-                    .entry(event.name.to_string())
-                    .or_default()
-                    .record(ns);
-            }
-            EventKind::SpanStart | EventKind::Instant => {}
-        }
+        self.lock().fold(None, event);
     }
 }
 
@@ -439,6 +547,119 @@ mod tests {
         assert_eq!(mem.dropped(), 1);
         assert_eq!(mem.drain().len(), 2);
         assert!(mem.events().is_empty());
+    }
+
+    fn ev(kind: EventKind, name: &'static str) -> Event {
+        Event {
+            seq: 0,
+            kind,
+            name: name.into(),
+            span: None,
+            parent: None,
+            sim_ms: None,
+            wall_ns: None,
+            fields: Vec::new(),
+        }
+    }
+
+    fn timing(name: &'static str, ns: u64) -> Event {
+        ev(EventKind::Timing { ns, ops: 1 }, name)
+    }
+
+    #[test]
+    fn memory_sink_keeps_tail_and_dumps_jsonl() {
+        let rec = MemorySink::new(3);
+        for seq in 0..5u64 {
+            let mut e = ev(EventKind::Instant, "step");
+            e.seq = seq;
+            e.fields.push(("i".into(), Value::U64(seq)));
+            rec.record(&e);
+        }
+        let tail = rec.events();
+        assert_eq!(tail.len(), 3);
+        assert_eq!(tail[0].seq, 2);
+        assert_eq!(tail[2].seq, 4);
+
+        let dir = std::env::temp_dir().join(format!("uvf-memory-dump-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("crash_tail.jsonl");
+        let written = rec.dump(&path).unwrap();
+        assert_eq!(written, 3);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3);
+        for (line, event) in lines.iter().zip(&tail) {
+            assert_eq!(*line, event.to_jsonl());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn counters_sum_and_gauges_key_by_worker() {
+        let agg = PrometheusSink::new();
+        agg.record(7, &ev(EventKind::Counter { delta: 3 }, "faults"));
+        agg.record(9, &ev(EventKind::Counter { delta: 5 }, "faults"));
+        agg.record(7, &ev(EventKind::Gauge { value: 540 }, "v_mv"));
+        agg.record(9, &ev(EventKind::Gauge { value: 560 }, "v_mv"));
+        agg.record(7, &ev(EventKind::Gauge { value: 530 }, "v_mv")); // last wins per worker
+        assert_eq!(agg.counters().get("faults"), Some(&8));
+        let gauge = agg.gauge("v_mv");
+        assert_eq!(gauge.get(&Some(7)), Some(&530));
+        assert_eq!(gauge.get(&Some(9)), Some(&560));
+        let text = agg.render();
+        assert!(text.contains("uvf_faults_total 8"));
+        assert!(text.contains("uvf_v_mv{worker=\"7\"} 530"));
+        assert!(text.contains("uvf_v_mv{worker=\"9\"} 560"));
+        parse_exposition(&text).expect("fleet exposition parses");
+    }
+
+    #[test]
+    fn fleet_histogram_equals_concatenated_per_worker_histograms() {
+        // Three workers with very different latency profiles; the fleet
+        // histogram must equal one histogram fed every sample, bucket for
+        // bucket — exact because all share the fixed bucket layout.
+        let agg = PrometheusSink::new();
+        let mut all = Histogram::default();
+        let mut per_worker: Vec<Histogram> = Vec::new();
+        for (w, base) in [(1u64, 200u64), (2, 9_000), (3, 1_500_000)] {
+            let mut own = Histogram::default();
+            for i in 0..400u64 {
+                let ns = base + i * base / 7;
+                agg.record(w, &timing("kernel", ns));
+                all.record(ns);
+                own.record(ns);
+            }
+            per_worker.push(own);
+        }
+        let fleet = agg.histogram("kernel").expect("histogram exists");
+        let mut merged = Histogram::default();
+        for h in &per_worker {
+            merged.merge(h);
+        }
+        for (a, b) in [(&fleet, &all), (&fleet, &merged)] {
+            assert_eq!(a.count(), b.count());
+            assert_eq!(a.cumulative(), b.cumulative());
+            assert_eq!(a.sum_ns(), b.sum_ns());
+        }
+    }
+
+    #[test]
+    fn server_level_series_share_the_exposition() {
+        let agg = PrometheusSink::new();
+        agg.add("jobs_done", 4);
+        agg.set_gauge("fvm_cache_size", 12);
+        agg.set_worker_gauge("worker_liveness", 41, 1);
+        agg.set_worker_gauge("worker_liveness", 42, 0);
+        agg.observe_ns("queue_wait", 1_000);
+        agg.observe_ns("queue_wait", 2_000_000);
+        let text = agg.render();
+        assert!(text.contains("uvf_jobs_done_total 4"));
+        assert!(text.contains("uvf_fvm_cache_size 12"));
+        assert!(text.contains("uvf_worker_liveness{worker=\"41\"} 1"));
+        assert!(text.contains("uvf_worker_liveness{worker=\"42\"} 0"));
+        assert!(text.contains("uvf_queue_wait_duration_ns_count 2"));
+        parse_exposition(&text).expect("exposition parses");
+        assert_eq!(agg.histogram("queue_wait").unwrap().count(), 2);
     }
 
     #[test]
